@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .group import FinGroup, group_from_generators, pair_isomorphic
+from .group import FinGroup, group_from_generators, kernel_key, pair_isomorphic
 from .dessins import enumerate_triples, genus_of, hurwitz_census
 from .origami import enumerate_origami_pairs, origami_existence
 from .arith import congruence_curves, macbeath_class, splitting_in_k
@@ -10,6 +10,7 @@ from .arith import congruence_curves, macbeath_class, splitting_in_k
 __all__ = [
     "FinGroup",
     "group_from_generators",
+    "kernel_key",
     "pair_isomorphic",
     "enumerate_triples",
     "genus_of",

@@ -273,14 +273,6 @@ def pgl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
                         order)
 
 
-def gl32_generators():
-    """Generator matrices of GL(3, 2) (a Singer cycle companion and a transvection)."""
-    return [
-        [[0, 0, 1], [1, 0, 1], [0, 1, 0]],
-        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
-    ]
-
-
 # -- complete catalogs of small orders ---------------------------------------
 
 def groups_of_order_4p(p: int, cap=DEFAULT_CAP):

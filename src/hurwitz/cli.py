@@ -43,6 +43,16 @@ def _parse_type(text: str):
     return parts
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load_group(spec: str, cap: int):
     try:
         return catalog.parse_group_spec(spec, cap=cap)
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, group=False):
         p.add_argument("--format", choices=["json", "tsv"], default="json")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                        help="group order cap")
         p.add_argument("--data-pack", default=os.environ.get("HURWITZ_DATA_PACK"),
                        help="directory of cached generator files "
@@ -295,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="Hurwitz census by genus")
     common(p)
     p.add_argument("--type", default="2,3,7")
-    p.add_argument("--max-genus", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--max-genus", type=_positive_int, required=True)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--characters", action="store_true",
                    help="append H^1 character rows per class")
     p.set_defaults(func=_cmd_census)
@@ -349,7 +359,9 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             raise UsageError("missing subcommand")
         return args.func(args, sys.stdout)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a library ValueError means the arguments asked for something
+        # undefined (composite ell, genus < 2, a genus-0 type, ...)
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

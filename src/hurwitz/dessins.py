@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .group import FinGroup, generates, pair_isomorphic
+from .group import CapExceededError, FinGroup, generates, kernel_key
 from .perms import pinv, pmul, porder
 
 
@@ -65,11 +65,6 @@ def passport(t: TriangleTriple) -> tuple:
     return (G.order, tuple(t.type), entry, G.class_of(t.z))
 
 
-def _bucket_key(pp: tuple) -> tuple:
-    # Aut(G) may permute conjugacy classes, so dedup buckets drop the z label.
-    return pp[:3]
-
-
 def _order_matches(order: int, target: int, mode: str) -> bool:
     if mode == "exact":
         return order == target
@@ -83,13 +78,14 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
 
     x runs over conjugacy-class representatives of matching order (results
     weighted by class size), y over all matching elements; candidates with
-    order(xy) = r that generate G are deduplicated by passport bucket and
-    then by the pair-isomorphism test.
+    order(xy) = r are keyed by the canonical Cayley key `kernel_key(G, (x, y))`,
+    which is None for non-generating pairs and equal exactly for pairs with
+    the same kernel.  Each class keeps its first candidate in scan order.
     """
     p, q, r = type_
     classes = G.conjugacy_classes()
     orders = G.element_orders()
-    found = []  # [ [bucket_key, rep_triple, weight] ]
+    found = {}  # kernel key -> [rep_triple, weight]
     ys = [i for i in range(G.order) if _order_matches(orders[i], q, mode)]
     inv_idx = G.inverse_indices()
     for cls in classes:
@@ -102,19 +98,17 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
             xy = G.index[pmul(xperm, G.elements[y])]
             if not _order_matches(orders[xy], r, mode):
                 continue
-            if not generates(G, (xr, y)):
+            key = kernel_key(G, (xr, y))
+            if key is None:
                 continue
-            z = inv_idx[xy]
-            t = TriangleTriple(G, xr, y, z, tuple(type_))
-            key = _bucket_key(passport(t))
-            for rec in found:
-                if rec[0] == key and pair_isomorphic(G, (rec[1].x, rec[1].y), (xr, y)):
-                    rec[2] += weight
-                    break
+            rec = found.get(key)
+            if rec is not None:
+                rec[1] += weight
             else:
-                found.append([key, t, weight])
+                found[key] = [TriangleTriple(G, xr, y, inv_idx[xy], tuple(type_)),
+                              weight]
     out = []
-    for key, t, weight in found:
+    for t, weight in found.values():
         g = genus_of(G.order, t.orders())
         out.append(DessinClass(t, g, passport(t), weight))
     out.sort(key=lambda c: (c.passport, c.representative.x, c.representative.y))
@@ -164,8 +158,10 @@ def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7), jobs: int = 1):
     """Count dessin classes per genus over the catalog's perfect candidates.
 
     Classes found in different (possibly isomorphic) candidate groups are
-    deduplicated by the cross-group kernel test, so each curve is counted
-    once.  The result is catalog-conditional by construction.  jobs > 1
+    deduplicated by their canonical Cayley key, so each curve is counted
+    once; passports are reported data only.  The result is
+    catalog-conditional by construction, and an order whose candidates
+    exceed the group-order cap is listed in "unchecked_orders".  jobs > 1
     fans the per-group enumerations out to a process pool; the merge is
     order-preserving, so output is identical at any parallelism degree.
     """
@@ -177,7 +173,7 @@ def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7), jobs: int = 1):
             continue
         try:
             candidates = catalog.perfect_candidates(order)
-        except Exception:
+        except CapExceededError:
             unchecked.append(order)
             continue
         if jobs > 1 and len(candidates) > 1:
@@ -187,24 +183,16 @@ def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7), jobs: int = 1):
                                      [(G, type_) for G in candidates])
         else:
             per_group = [enumerate_triples(G, type_) for G in candidates]
-        kept = []  # (group, DessinClass)
+        kept = {}  # kernel key -> (group, DessinClass)
         for G, classes in zip(candidates, per_group):
             for cls in classes:
                 rep = cls.representative
-                duplicate = False
-                for H, kcls in kept:
-                    krep = kcls.representative
-                    if H.order == G.order and pair_isomorphic(
-                            H, (krep.x, krep.y), (rep.x, rep.y), H=G):
-                        duplicate = True
-                        break
-                if not duplicate:
-                    kept.append((G, cls))
+                kept.setdefault(kernel_key(G, (rep.x, rep.y)), (G, cls))
         rows.append({
             "genus": g,
             "order": order,
             "count": len(kept),
-            "groups": _group_rows(kept),
+            "groups": _group_rows(kept.values()),
             "searched": [G.name for G in candidates] + catalog.searched_families(order),
         })
     return {

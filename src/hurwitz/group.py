@@ -271,42 +271,55 @@ def regular_representation(G: FinGroup, cap=DEFAULT_CAP) -> FinGroup:
     return group_from_generators(gens, cap=cap, name=f"reg({G.name})")
 
 
+def cayley_labels(G: FinGroup, gens):
+    """Canonical labels of the Cayley graph of <gens>, yielded lazily.
+
+    BFS from the identity, trying the generators in the given order, numbers
+    the elements in discovery order; for each element u in that order and
+    each generator s it yields the number of u*s.  The sequence describes the
+    right-regular action of <gens> up to relabelling, so two generator tuples
+    give equal sequences exactly when gens1 -> gens2 extends to an
+    isomorphism <gens1> -> <gens2>.  `gens` are element indices.
+    """
+    elements, index = G.elements, G.index
+    gens = [elements[s] for s in gens]
+    number = [-1] * G.order
+    number[0] = 0
+    queue = [0]
+    for u in queue:
+        up = elements[u]
+        for s in gens:
+            v = index[pmul(up, s)]
+            label = number[v]
+            if label < 0:
+                label = number[v] = len(queue)
+                queue.append(v)
+            yield label
+
+
+def kernel_key(G: FinGroup, gens):
+    """The full `cayley_labels` tuple, or None when gens do not generate G.
+
+    Equal keys mean exactly that gens1 -> gens2 extends to an isomorphism,
+    i.e. that the two epimorphisms from the free group have equal kernels.
+    """
+    key = tuple(cayley_labels(G, gens))
+    return key if len(key) == len(gens) * G.order else None
+
+
 def pair_isomorphic(G: FinGroup, pair1, pair2, H: FinGroup | None = None) -> bool:
     """Does x1 -> x2, y1 -> y2 extend to an isomorphism G -> H (H defaults to G)?
 
-    Single-base-point propagation over the Cayley graph of (x1, y1): starting
-    from identity -> identity, assign tau(u*s1) = tau(u)*s2 and fail on any
-    collision.  A consistent closure is automatically a homomorphism onto
-    <x2, y2> = H, hence bijective.  Both pairs must generate (checked).
+    Key equality of the two canonical Cayley keys.  Both pairs must
+    generate (checked).
     """
     H = G if H is None else H
     pair1 = [G.index[tuple(p)] if not isinstance(p, int) else p for p in pair1]
     pair2 = [H.index[tuple(p)] if not isinstance(p, int) else p for p in pair2]
-    if not generates(G, pair1):
+    key1 = kernel_key(G, pair1)
+    if key1 is None:
         raise ValueError("first pair does not generate the group")
-    if not generates(H, pair2):
+    key2 = kernel_key(H, pair2)
+    if key2 is None:
         raise ValueError("second pair does not generate the group")
-    if G.order != H.order:
-        return False
-    steps = []
-    for s1, s2 in zip(pair1, pair2):
-        t1 = G.right_mult_table(s1)
-        t2 = H.right_mult_table(s2)
-        steps.append((t1, t2))
-    tau = [-1] * G.order
-    tau[0] = 0
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        u = queue[qpos]
-        qpos += 1
-        tu = tau[u]
-        for t1, t2 in steps:
-            v = t1[u]
-            w = t2[tu]
-            if tau[v] < 0:
-                tau[v] = w
-                queue.append(v)
-            elif tau[v] != w:
-                return False
-    return True
+    return key1 == key2

@@ -13,10 +13,12 @@ from the Klein-quartic kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
-from .group import DEFAULT_CAP, FinGroup, generates, group_from_generators
+from .group import (DEFAULT_CAP, FinGroup, cayley_labels, generates,
+                    group_from_generators, kernel_key)
 from .fields import is_prime
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
@@ -453,7 +455,7 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     if E.order != expected:
         raise CocycleError(f"extension order {E.order} != expected {expected}")
     _verify_cocycle(sd, mod, to_quotient, rho_q, ell, qdim)
-    split = _has_complement(E, G, qdim, ell)
+    split = _has_complement(E, G)
     return ExtensionGroup(E, G, qdim, ell, split)
 
 
@@ -495,47 +497,29 @@ def _apply(mat_cols, v, ell):
     return out
 
 
-def _has_complement(E: FinGroup, G: FinGroup, qdim: int, ell: int) -> bool:
+def _has_complement(E: FinGroup, G: FinGroup) -> bool:
     """Search for a homomorphic section G -> E over all lifts of the generators.
 
-    The extension splits iff some choice of preimages of the two triangle
-    generator images extends to a homomorphism, tested by Cayley-graph
-    propagation over G with respect to those images.
+    The extension splits iff some lifts (ax, ay) of the triangle generator
+    images (gx, gy) satisfy gx -> ax, gy -> ay extending to an isomorphism
+    G -> <ax, ay>, i.e. iff the Cayley labels of (ax, ay) in E equal the
+    canonical Cayley key of (gx, gy) in G.  Each lift pair is compared
+    lazily and dropped at its first mismatching label.
     """
     base = G.order
     # Point 0 of the extension is (0, identity), so e.elements[i][0] encodes
     # the element itself and its G block is the projection to the base.
     gx = E.generators[0][0] % base
     gy = E.generators[1][0] % base
-    tG = [G.right_mult_table(gx), G.right_mult_table(gy)]
+    key = kernel_key(G, (gx, gy))
     lifts_x = [i for i in range(E.order) if E.elements[i][0] % base == gx]
     lifts_y = [i for i in range(E.order) if E.elements[i][0] % base == gy]
-    tables_x = {ax: E.right_mult_table(ax) for ax in lifts_x}
-    tables_y = {ay: E.right_mult_table(ay) for ay in lifts_y}
     for ax in lifts_x:
         for ay in lifts_y:
-            if _section_exists(G, tG, (tables_x[ax], tables_y[ay])):
+            labels = cayley_labels(E, (ax, ay))
+            if all(a == b for a, b in zip_longest(labels, key)):
                 return True
     return False
-
-
-def _section_exists(G: FinGroup, tables_G, tables_E) -> bool:
-    tau = [-1] * G.order
-    tau[0] = 0
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        u = queue[qpos]
-        qpos += 1
-        for tG, tE in zip(tables_G, tables_E):
-            v = tG[u]
-            w = tE[tau[u]]
-            if tau[v] < 0:
-                tau[v] = w
-                queue.append(v)
-            elif tau[v] != w:
-                return False
-    return True
 
 
 # -- the genus-17 pipeline ----------------------------------------------------

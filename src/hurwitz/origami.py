@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import catalog as _catalog
 from .fields import is_prime
-from .group import FinGroup, generates, pair_isomorphic
+from .group import FinGroup, kernel_key
 from .perms import pmul
 
 
@@ -51,13 +51,16 @@ def enumerate_origami_pairs(G: FinGroup):
     """Automorphism classes of generating pairs with commutator of order 2.
 
     a runs over conjugacy-class representatives (weighted by class size),
-    b over all elements; deduplication reuses the pair-isomorphism test.
+    b over all elements; pairs are keyed by the canonical Cayley key
+    `kernel_key(G, (a, b))`, which is None for non-generating pairs and equal
+    exactly for pairs related by an automorphism.  Each class keeps its first
+    candidate in scan order.
     """
     if G.order % 4 != 0:
         return []
     classes = G.conjugacy_classes()
     orders = G.element_orders()
-    found = []  # [key, OrigamiPair, weight]
+    found = {}  # kernel key -> [OrigamiPair, weight]
     for cls in classes:
         ar = cls[0]
         weight = len(cls)
@@ -68,17 +71,16 @@ def enumerate_origami_pairs(G: FinGroup):
             c = G.mul(G.mul(ainv, binv), G.index[pmul(aperm, G.elements[b])])
             if orders[c] != 2:
                 continue
-            if not generates(G, (ar, b)):
+            key = kernel_key(G, (ar, b))
+            if key is None:
                 continue
-            key = (orders[ar], len(cls), orders[b], G.class_size(b), G.class_of(c))
-            for rec in found:
-                if rec[0] == key and pair_isomorphic(G, (rec[1].a, rec[1].b), (ar, b)):
-                    rec[2] += weight
-                    break
+            rec = found.get(key)
+            if rec is not None:
+                rec[1] += weight
             else:
-                found.append([key, OrigamiPair(G, ar, b), weight])
+                found[key] = [OrigamiPair(G, ar, b), weight]
     g = origami_genus(G.order)
-    out = [OrigamiClass(pair, g, weight) for _, pair, weight in found]
+    out = [OrigamiClass(pair, g, weight) for pair, weight in found.values()]
     out.sort(key=lambda c: (c.representative.a, c.representative.b))
     return out
 

@@ -41,11 +41,6 @@ def porder(a: Perm) -> int:
     return o
 
 
-def is_perm(images) -> bool:
-    n = len(images)
-    return sorted(images) == list(range(n))
-
-
 def cycle_notation(a: Perm) -> str:
     n = len(a)
     seen = [False] * n

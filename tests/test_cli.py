@@ -49,6 +49,28 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["homology", "--group", "psl2:7", "--ell", "6"],
+    ["homology", "--group", "psl2:7", "--ell", "2", "--invariant-dim", "9"],
+    ["origami", "--genus", "1"],
+    ["character", "--group", "alt:5", "--type", "2,3,5"],
+    ["census", "--max-genus", "-5"],
+    ["census", "--max-genus", "3", "--jobs", "0"],
+    ["census", "--max-genus", "3", "--cap", "0"],
+], ids=" ".join)
+def test_bad_values_exit_one(args, capsys):
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+
+
+def test_census_cap_lists_unchecked_order(capsys):
+    code, out = run_main(["census", "--max-genus", "3", "--cap", "100"], capsys)
+    assert code == 0
+    assert 168 in json.loads(out)["unchecked_orders"]
+
+
 def test_cap_exceeded_exit_two(capsys):
     code = cli.main(["dessins", "--group", "psl2:27", "--cap", "100"])
     capsys.readouterr()

@@ -100,3 +100,13 @@ def test_census_jobs_deterministic():
     a = hurwitz_census(cat, 7, jobs=1)
     b = hurwitz_census(cat, 7, jobs=3)
     assert a == b
+
+
+def test_census_raises_errors_other_than_cap(monkeypatch):
+    cat = census_catalog(3)
+
+    def broken(order):
+        raise RuntimeError("catalog bug")
+    monkeypatch.setattr(cat, "perfect_candidates", broken)
+    with pytest.raises(RuntimeError, match="catalog bug"):
+        hurwitz_census(cat, 3)

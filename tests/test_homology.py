@@ -6,6 +6,7 @@ from hurwitz.group import pair_isomorphic
 from hurwitz.homology import (ScanInfeasibleError, extension_quotient,
                               invariant_submodules, kernel_mod_ell_homology,
                               klein_extension_groups, rref_mod, schreier_data)
+from test_pair_iso import _evaluate, _word_map
 
 
 def _klein_schreier():
@@ -100,6 +101,26 @@ def test_extension_by_full_module_is_base(klein):
     E = extension_quotient(mod, full)
     assert E.group.order == G.order
     assert E.module_dim == 0
+
+
+def test_extension_by_full_module_splits(klein):
+    """E = G splits: the section x -> ax, y -> ay is an isomorphism onto <ax, ay>."""
+    G, sd, mod = klein
+    E = extension_quotient(mod, np.eye(mod.dim, dtype=np.int64))
+    assert E.split is True
+    gx, gy = sd.gen_images
+    lifts = [[i for i in range(E.group.order) if E.project(i) == g] for g in (gx, gy)]
+    assert [len(ls) for ls in lifts] == [1, 1]
+    ax, ay = lifts[0][0], lifts[1][0]
+    # brute-force oracle of test_pair_iso.py, across the two groups
+    words = _word_map(G, (gx, gy))
+    section = [None] * G.order
+    for i, w in words.items():
+        section[i] = _evaluate(E.group, w, (ax, ay))
+    assert sorted(section) == list(range(E.group.order))
+    assert all(section[G.mul(a, b)] == E.group.mul(section[a], section[b])
+               for a in range(G.order) for b in range(G.order))
+    assert all(E.project(section[i]) == i for i in range(G.order))
 
 
 def test_extension_orders_and_projection(klein):

@@ -1,0 +1,73 @@
+"""Results must not depend on how a group is represented as permutations.
+
+Each case relabels a catalog group's points by a random permutation,
+rebuilds the group from the conjugated generators in reversed order (so the
+element indices change too), and compares classifications and canonical
+Cayley keys with the original.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings, strategies as st
+
+from hurwitz import catalog
+from hurwitz.dessins import enumerate_triples
+from hurwitz.group import generates, group_from_generators, kernel_key
+from hurwitz.origami import enumerate_origami_pairs
+
+CASES = [
+    (catalog.psl2(7), (2, 3, 7)),
+    (catalog.alternating(5), (2, 5, 5)),
+    (catalog.symmetric(4), (2, 3, 4)),
+    (catalog.dihedral(6), (2, 2, 6)),
+    (catalog.dicyclic(2), (4, 4, 4)),
+    (catalog.metacyclic(8, 5), (2, 8, 8)),
+]
+
+
+def _relabel(G, sigma):
+    """Rebuild G with point i renamed sigma[i]; returns (G', element map)."""
+    def conj(p):
+        out = [0] * len(p)
+        for i, j in enumerate(p):
+            out[sigma[i]] = sigma[j]
+        return tuple(out)
+    H = group_from_generators([conj(g) for g in reversed(G.generators)],
+                              name=f"relabelled {G.name}")
+    return H, [H.index[conj(e)] for e in G.elements]
+
+
+def _class_sizes(classes):
+    return Counter(c.class_size for c in classes)
+
+
+@st.composite
+def relabelled_case(draw):
+    G, type_ = draw(st.sampled_from(CASES))
+    sigma = draw(st.permutations(range(G.degree)))
+    return G, type_, *_relabel(G, sigma)
+
+
+@given(relabelled_case())
+@settings(max_examples=12, deadline=None)
+def test_classifications_are_representation_independent(case):
+    G, type_, H, _ = case
+    assert _class_sizes(enumerate_triples(H, type_)) == \
+        _class_sizes(enumerate_triples(G, type_))
+    assert _class_sizes(enumerate_origami_pairs(H)) == \
+        _class_sizes(enumerate_origami_pairs(G))
+
+
+@given(relabelled_case(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_kernel_key_is_representation_independent(case, data):
+    G, _, H, phi = case
+    pair = data.draw(st.tuples(st.integers(0, G.order - 1),
+                               st.integers(0, G.order - 1)))
+    key = kernel_key(G, pair)
+    assert (key is None) == (not generates(G, pair))
+    assert kernel_key(H, (phi[pair[0]], phi[pair[1]])) == key
+    # every class representative keeps its key under the relabelling
+    for c in enumerate_triples(G, case[1]):
+        t = c.representative
+        assert kernel_key(H, (phi[t.x], phi[t.y])) == kernel_key(G, (t.x, t.y))
