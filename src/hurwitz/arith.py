@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .catalog import psl2, psl2_order
 from .fields import is_prime, prime_power
 from .group import FinGroup
 
@@ -81,10 +82,6 @@ def macbeath_class(q: int) -> HurwitzStatus:
     return NOT_HURWITZ
 
 
-def psl2_order(q: int) -> int:
-    return q * (q * q - 1) // (2 if q % 2 else 1)
-
-
 @dataclass(frozen=True)
 class CongruenceCurve:
     genus: int
@@ -129,8 +126,6 @@ def congruence_match(G: FinGroup):
     eligible q and G is simple with the same conjugacy-class fingerprint;
     otherwise None.  Composite moduli are deliberately out of scope.
     """
-    from . import catalog  # deferred: catalog depends on nothing here
-
     for ell in range(2, 200):
         if not is_prime(ell):
             continue
@@ -142,7 +137,7 @@ def congruence_match(G: FinGroup):
             continue
         if not G.is_simple():
             continue
-        ref = catalog.psl2(q)
+        ref = psl2(q)
         if _class_fingerprint(G) == _class_fingerprint(ref):
             return CongruenceMatch(ell, split.f, q)
     return None

@@ -7,6 +7,7 @@ permutation per line) supports data-pack groups.
 
 from __future__ import annotations
 
+from math import factorial
 from pathlib import Path
 
 from .fields import Fq, factorize, is_prime, prime_power
@@ -100,10 +101,8 @@ def symmetric(n: int, cap=DEFAULT_CAP) -> FinGroup:
         raise ValueError("symmetric degree must be >= 2")
     cyc = tuple((i + 1) % n for i in range(n))
     swap = tuple([1, 0] + list(range(2, n)))
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return _check_order(group_from_generators([cyc, swap], cap=cap, name=f"S{n}"), fact)
+    return _check_order(group_from_generators([cyc, swap], cap=cap, name=f"S{n}"),
+                        factorial(n))
 
 
 def alternating(n: int, cap=DEFAULT_CAP) -> FinGroup:
@@ -118,10 +117,8 @@ def alternating(n: int, cap=DEFAULT_CAP) -> FinGroup:
     else:
         cyc = tuple([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
         gens = [three, cyc]
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return _check_order(group_from_generators(gens, cap=cap, name=f"A{n}"), fact // 2)
+    return _check_order(group_from_generators(gens, cap=cap, name=f"A{n}"),
+                        factorial(n) // 2)
 
 
 def direct_product(G: FinGroup, H: FinGroup, cap=DEFAULT_CAP,
@@ -234,6 +231,11 @@ def _vector_perm(F: Fq, M, points, pt_index):
     return tuple(images)
 
 
+def psl2_order(q: int) -> int:
+    """|PSL(2, q)| = q (q^2 - 1) / gcd(2, q - 1)."""
+    return q * (q * q - 1) // (2 if q % 2 else 1)
+
+
 def psl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
     """PSL(2, q) on the q+1 points of the projective line."""
     pp = prime_power(q)
@@ -241,9 +243,8 @@ def psl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
         raise ValueError(f"{q} is not a prime power")
     F = Fq(*pp)
     gens = [_projective_perm(F, M) for M in _sl2_generator_matrices(F)]
-    order = q * (q * q - 1) // (2 if q % 2 else 1)
     return _check_order(group_from_generators(gens, cap=cap, name=f"PSL(2,{q})"),
-                        order)
+                        psl2_order(q))
 
 
 def sl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
@@ -332,17 +333,15 @@ def groups_of_order(n: int, cap=DEFAULT_CAP):
                 out.append(metacyclic(m, t, cap=cap))
     if n % 4 == 0 and n >= 8:
         out.append(dicyclic(n // 4, cap=cap))
-    fact = 1
     for k in range(2, 9):
-        fact *= k
-        if fact == n:
+        if factorial(k) == n:
             out.append(symmetric(k, cap=cap))
-        if fact // 2 == n and k >= 4:
+        if factorial(k) // 2 == n and k >= 4:
             out.append(alternating(k, cap=cap))
     for q in range(4, 33):
         if prime_power(q) is None:
             continue
-        if q * (q * q - 1) // (2 if q % 2 else 1) == n:
+        if psl2_order(q) == n:
             out.append(psl2(q, cap=cap))
         if q % 2 and q * (q * q - 1) == n:
             out.append(sl2(q, cap=cap))
@@ -465,14 +464,12 @@ class Catalog:
         for q in range(4, self.q_max + 1):
             if prime_power(q) is None:
                 continue
-            if q * (q * q - 1) // (2 if q % 2 else 1) == order:
+            if psl2_order(q) == order:
                 out.append(psl2(q, cap=self.cap))
             if q % 2 and q >= 5 and q * (q * q - 1) == order:
                 out.append(sl2(q, cap=self.cap))
-        fact = 1
-        for k in range(2, self.max_alt_degree + 1):
-            fact *= k
-            if k >= 5 and fact // 2 == order:
+        for k in range(5, self.max_alt_degree + 1):
+            if factorial(k) // 2 == order:
                 out.append(alternating(k, cap=self.cap))
         for G in self._extra:
             if G.order == order:
@@ -490,10 +487,8 @@ class Catalog:
         for q in range(4, self.q_max + 1):
             if prime_power(q) is not None and q % 2 and q * (q * q - 1) == order:
                 names.append(f"PGL(2,{q})")
-        fact = 1
         for k in range(2, self.max_alt_degree + 1):
-            fact *= k
-            if fact == order:
+            if factorial(k) == order:
                 names.append(f"S{k}")
         return names
 

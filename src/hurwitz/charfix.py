@@ -16,7 +16,7 @@ from .group import FinGroup, subgroup_closure
 
 
 def _cyclic_cosets(G: FinGroup, s: int):
-    """Right cosets <s>\\G as (subgroup set, coset representative list)."""
+    """Right cosets <s>\\G as (subgroup set, coset representative list), by scan."""
     sub = set(subgroup_closure(G, [s]))
     seen = set()
     reps = []
@@ -33,7 +33,8 @@ def fixed_points(G: FinGroup, t: TriangleTriple, h: int) -> int:
     """Fixed points of h on the cover, by direct scan of the three coset spaces.
 
     A coset <s>g is fixed by right multiplication with h iff g h g^-1 lies
-    in <s>.
+    in <s>.  This is the test oracle for `h1_character`; the production
+    path counts orbits instead (`_coset_fixed_counts`).
     """
     if h == 0:
         raise ValueError("h must be nontrivial; use ramification_point_count")
@@ -52,22 +53,27 @@ def ramification_point_count(G: FinGroup, t: TriangleTriple) -> int:
     return sum(G.order // G.element_order(s) for s in (t.x, t.y, t.z))
 
 
+def _coset_fixed_counts(G: FinGroup, s: int):
+    """Per conjugacy class h^G: the number of right cosets of <s> fixed by h.
+
+    Orbit counting: <s>g is fixed by h iff g h g^-1 lies in <s>, and each
+    element of h^G is g h g^-1 for |G| / |h^G| elements g, so the count is
+    |G| |h^G & <s>| / (|h^G| |<s>|).  One pass over <s> gives every class;
+    the identity class gets the number of cosets.
+    """
+    sub = subgroup_closure(G, [s])
+    meets = [0] * len(G.conjugacy_classes())
+    for i in sub:
+        meets[G.class_of(i)] += 1
+    return [G.order * m // (len(cls) * len(sub))
+            for m, cls in zip(meets, G.conjugacy_classes())]
+
+
 def _fixed_by_class(G: FinGroup, t: TriangleTriple):
-    """Fix(h) per conjugacy class (class function), sharing the coset tables."""
-    spaces = [_cyclic_cosets(G, s) for s in (t.x, t.y, t.z)]
-    out = []
-    for cls in G.conjugacy_classes():
-        h = cls[0]
-        if h == 0:
-            out.append(None)  # identity: not defined (ramification total instead)
-            continue
-        fix = 0
-        for sub, reps in spaces:
-            for g in reps:
-                if G.mul(G.mul(g, h), G.inv(g)) in sub:
-                    fix += 1
-        out.append(fix)
-    return out
+    """Fix(h) per conjugacy class (class function); None for the identity."""
+    counts = [_coset_fixed_counts(G, s) for s in (t.x, t.y, t.z)]
+    return [None if cls[0] == 0 else sum(fix)
+            for cls, fix in zip(G.conjugacy_classes(), zip(*counts))]
 
 
 def fixed_point_class_sum(G: FinGroup, t: TriangleTriple) -> int:
@@ -111,16 +117,7 @@ def trivial_character(G: FinGroup) -> ClassFunction:
 def permutation_character(G: FinGroup, t: TriangleTriple, which: str) -> ClassFunction:
     """Character of the coset action for one of the triple entries x, y, z."""
     s = {"x": t.x, "y": t.y, "z": t.z}[which]
-    sub, reps = _cyclic_cosets(G, s)
-    values = []
-    for cls in G.conjugacy_classes():
-        h = cls[0]
-        if h == 0:
-            values.append(len(reps))
-            continue
-        fix = sum(1 for g in reps if G.mul(G.mul(g, h), G.inv(g)) in sub)
-        values.append(fix)
-    return ClassFunction(G, tuple(values))
+    return ClassFunction(G, tuple(_coset_fixed_counts(G, s)))
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,13 @@ def _cmd_census(args, out) -> int:
 
 
 def _append_characters(row, cat, type_, cap):
-    # rebuild each group's representative triple and attach its character rows
+    # rebuild each class's triple from its serialized element indices
     for grp in row["groups"]:
         G = _group_by_name(cat, grp["name"], row["order"], cap)
-        classes = dessins.enumerate_triples(G, type_)
-        for cls, ser in zip(classes, grp["classes"]):
-            ser["character"] = charfix.character_report(G, cls.representative)
+        for ser in grp["classes"]:
+            rep = ser["representative"]
+            t = dessins.TriangleTriple(G, rep["x"], rep["y"], rep["z"], type_)
+            ser["character"] = charfix.character_report(G, t)
 
 
 def _group_by_name(cat, name, order, cap):

@@ -142,23 +142,25 @@ def is_irreducible(coeffs, p) -> bool:
 def find_irreducible(p: int, f: int):
     """First irreducible monic polynomial of degree f, scanning coefficient codes."""
     for code in range(p ** f):
-        coeffs = _decode(code, p, f) + (1,)
+        coeffs = to_digits(code, p, f) + (1,)
         if is_irreducible(coeffs, p):
             return coeffs
     raise RuntimeError(f"no irreducible modulus of degree {f} over F_{p}")  # unreachable
 
 
-def _decode(code, p, f):
+def to_digits(code: int, p: int, n: int):
+    """The n base-p digits of code, least significant first."""
     digits = []
-    for _ in range(f):
+    for _ in range(n):
         digits.append(code % p)
         code //= p
     return tuple(digits)
 
 
-def _encode(coeffs, p, f):
+def from_digits(digits, p: int) -> int:
+    """Inverse of `to_digits`: the integer with these base-p digits."""
     code = 0
-    for c in reversed(coeffs[:f] + (0,) * (f - len(coeffs))):
+    for c in reversed(digits):
         code = code * p + c
     return code
 
@@ -183,10 +185,10 @@ class Fq:
         return range(self.q)
 
     def coeffs(self, a: int):
-        return _decode(a, self.p, self.f)
+        return to_digits(a, self.p, self.f)
 
     def from_coeffs(self, coeffs) -> int:
-        return _encode(_trim(coeffs), self.p, self.f)
+        return from_digits(_trim(coeffs), self.p)
 
     def add(self, a: int, b: int) -> int:
         return self.from_coeffs(poly_add(self.coeffs(a), self.coeffs(b), self.p))
@@ -245,11 +247,3 @@ class Fq:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1
 
-
-def fq_make(p: int, f: int) -> Fq:
-    """Construct F_{p^f}; artifact contract allows 1 <= f <= 6."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not 1 <= f <= 6:
-        raise ValueError(f"extension degree {f} outside supported range 1..6")
-    return Fq(p, f)

@@ -7,7 +7,7 @@ the table-based approach honest; everything in scope fits well below it.
 
 from __future__ import annotations
 
-from .perms import Perm, identity, pinv, pmul, porder
+from .perms import identity, pinv, pmul, porder
 
 DEFAULT_CAP = 200_000
 
@@ -93,20 +93,28 @@ class FinGroup:
         return len(self.conjugacy_classes()[self.class_of(i)])
 
     def centralizer_size(self, i: int) -> int:
-        """Computed by direct scan; equals |G| / class size (orbit-stabilizer)."""
+        """Computed by direct scan; equals |G| / class size (orbit-stabilizer).
+
+        Kept as the test oracle for the class sizes.
+        """
         e = self.elements[i]
         return sum(1 for g in self.elements if pmul(g, e) == pmul(e, g))
 
-    def commutator_subgroup(self) -> "FinGroup":
+    def commutator(self, a: int, b: int) -> int:
+        """a^-1 * b^-1 * a * b."""
+        return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
+
+    def commutator_subgroup(self):
+        """Sorted indices of the derived subgroup (cached)."""
         if self._derived is None:
             self._derived = commutator_subgroup(self)
         return self._derived
 
     def is_perfect(self) -> bool:
-        return self.commutator_subgroup().order == self.order
+        return len(self.commutator_subgroup()) == self.order
 
     def is_abelian(self) -> bool:
-        return self.commutator_subgroup().order == 1
+        return len(self.commutator_subgroup()) == 1
 
     def is_simple(self) -> bool:
         """True iff every nontrivial conjugacy class has normal closure G."""
@@ -115,7 +123,7 @@ class FinGroup:
         for cls in self.conjugacy_classes():
             if 0 in cls:  # identity class
                 continue
-            if normal_closure_order(self, [cls[0]]) != self.order:
+            if len(normal_closure(self, [cls[0]])) != self.order:
                 return False
         return True
 
@@ -222,53 +230,36 @@ def generates(G: FinGroup, gen_indices) -> bool:
     return len(closure) == G.order
 
 
-def normal_closure_order(G: FinGroup, seed_indices) -> int:
-    """Order of the normal closure of the given elements in G."""
+def normal_closure(G: FinGroup, seeds):
+    """Sorted indices of the normal closure of the seed elements in G.
+
+    One BFS from the identity: each element found is multiplied on the right
+    by every seed and conjugated by every generator of G.  The orbit is
+    closed under both maps, hence under right multiplication by every
+    conjugate of a seed, so it is the normal closure itself.
+    """
+    elements, index = G.elements, G.index
+    seeds = [elements[s] for s in seeds]
+    conjugators = [(pinv(g), g) for g in G.generators]
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        up = elements[u]
+        images = [pmul(up, s) for s in seeds]
+        images += [pmul(pmul(ginv, up), g) for ginv, g in conjugators]
+        for v in images:
+            v = index[v]
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return sorted(seen)
+
+
+def commutator_subgroup(G: FinGroup):
+    """Derived subgroup, as sorted indices: normal closure of generator commutators."""
     gen_idx = [G.index[g] for g in G.generators]
-    gens = set(seed_indices)
-    while True:
-        closure = subgroup_closure(G, sorted(gens))
-        extra = set()
-        for i in closure:
-            for gi in gen_idx:
-                c = G.conj(i, gi)
-                if c not in closure and c not in gens:
-                    extra.add(c)
-        if not extra:
-            return len(closure)
-        gens |= extra
-
-
-def commutator_subgroup(G: FinGroup) -> FinGroup:
-    """Derived subgroup: normal closure of generator commutators."""
-    gen_idx = [G.index[g] for g in G.generators]
-    seeds = set()
-    for a in gen_idx:
-        for b in gen_idx:
-            c = G.mul(G.mul(G.inv(a), G.inv(b)), G.mul(a, b))
-            if c != 0:
-                seeds.add(c)
-    if not seeds:
-        return group_from_generators([G.elements[0]], name=f"[{G.name},{G.name}]")
-    while True:
-        closure = subgroup_closure(G, sorted(seeds))
-        closure_set = set(closure)
-        extra = set()
-        for i in closure:
-            for gi in gen_idx:
-                c = G.conj(i, gi)
-                if c not in closure_set:
-                    extra.add(c)
-        if not extra:
-            gens = [G.elements[i] for i in sorted(seeds)]
-            return group_from_generators(gens, name=f"[{G.name},{G.name}]")
-        seeds |= extra
-
-
-def regular_representation(G: FinGroup, cap=DEFAULT_CAP) -> FinGroup:
-    """Right-multiplication action of G on itself (degree |G|, free and transitive)."""
-    gens = [tuple(G.right_mult_table(G.index[g])) for g in G.generators]
-    return group_from_generators(gens, cap=cap, name=f"reg({G.name})")
+    seeds = {G.commutator(a, b) for a in gen_idx for b in gen_idx} - {0}
+    return normal_closure(G, seeds)
 
 
 def cayley_labels(G: FinGroup, gens):

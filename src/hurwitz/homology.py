@@ -19,7 +19,7 @@ import numpy as np
 
 from .group import (DEFAULT_CAP, FinGroup, cayley_labels, generates,
                     group_from_generators, kernel_key)
-from .fields import is_prime
+from .fields import from_digits, is_prime, to_digits
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
 X, Y = 0, 1
@@ -384,22 +384,14 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
         cols = [to_quotient(A[:, freeU[j]]) for j in range(qdim)]
         rho_q.append(tuple(cols))
 
-    # cocycle values c(s, g) for the two generator letters
-    def cocycle_row(s_img):
-        vals = []
-        for g in range(G.order):
-            sg = G.mul(s_img, g)
-            word = (sd.tree_word[s_img] + sd.tree_word[g]
-                    + _word_inverse(sd.tree_word[sg]))
-            vec, end = sd.rewrite(word)
-            if end != 0:
-                raise CocycleError("cocycle word did not close")
-            vals.append(to_quotient(mod.project(vec)))
-        return vals
-
-    gx, gy = sd.gen_images
-    cx = cocycle_row(gx)
-    cy = cocycle_row(gy)
+    def coc(g, h):
+        """c(g, h): the image of sigma(g) sigma(h) sigma(gh)^-1 in M/U."""
+        word = (sd.tree_word[g] + sd.tree_word[h]
+                + _word_inverse(sd.tree_word[G.mul(g, h)]))
+        vec, end = sd.rewrite(word)
+        if end != 0:
+            raise CocycleError("cocycle word did not close")
+        return to_quotient(mod.project(vec))
 
     # images of the presentation generators in the extension
     def gen_value(letter, img):
@@ -408,69 +400,36 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
             raise CocycleError("generator lift word did not close")
         return to_quotient(mod.project(vec))
 
-    vx = gen_value(X, gx)
-    vy = gen_value(Y, gy)
-
     npoints = (ell ** qdim) * G.order
 
-    def v_code(v):
-        code = 0
-        for c in reversed(v):
-            code = code * ell + c
-        return code
-
-    def v_decode(code):
-        out = []
-        for _ in range(qdim):
-            out.append(code % ell)
-            code //= ell
-        return tuple(out)
-
-    def act(g, v):
-        mat = rho_q[g]
-        out = [0] * qdim
-        for j, col in enumerate(mat):
-            if v[j]:
-                for i in range(qdim):
-                    out[i] = (out[i] + v[j] * col[i]) % ell
-        return tuple(out)
-
-    def left_gen_perm(w, s_img, c_row):
+    def left_gen_perm(w, s_img):
         # s = (w, s_img) acting by left multiplication:
         # s * (v, g) = (w + rho(s) v + c(s, g), s_img * g)
+        c_row = [coc(s_img, g) for g in range(G.order)]
         images = []
         for point in range(npoints):
             vc, g = divmod(point, G.order)
-            sv = act(s_img, v_decode(vc))
+            sv = _apply(rho_q[s_img], to_digits(vc, ell, qdim), ell)
             c = c_row[g]
-            v2 = tuple((w[i] + sv[i] + c[i]) % ell for i in range(qdim))
-            images.append(v_code(v2) * G.order + G.mul(s_img, g))
+            v2 = [(w[i] + sv[i] + c[i]) % ell for i in range(qdim)]
+            images.append(from_digits(v2, ell) * G.order + G.mul(s_img, g))
         return tuple(images)
 
-    perm_x = left_gen_perm(vx, gx, cx)
-    perm_y = left_gen_perm(vy, gy, cy)
+    gx, gy = sd.gen_images
+    perm_x = left_gen_perm(gen_value(X, gx), gx)
+    perm_y = left_gen_perm(gen_value(Y, gy), gy)
     label = name or f"{G.name}.ext({ell}^{qdim})"
     E = group_from_generators([perm_x, perm_y], cap=cap, name=label)
     expected = G.order * ell ** qdim
     if E.order != expected:
         raise CocycleError(f"extension order {E.order} != expected {expected}")
-    _verify_cocycle(sd, mod, to_quotient, rho_q, ell, qdim)
+    _verify_cocycle(G, coc, rho_q, ell)
     split = _has_complement(E, G)
     return ExtensionGroup(E, G, qdim, ell, split)
 
 
-def _verify_cocycle(sd, mod, to_quotient, rho_q, ell, qdim, samples=40):
+def _verify_cocycle(G, coc, rho_q, ell, samples=40):
     """Spot-check c(g,h) + c(gh,k) = g*c(h,k) + c(g,hk) on deterministic triples."""
-    G = sd.group
-
-    def coc(g, h):
-        gh = G.mul(g, h)
-        word = sd.tree_word[g] + sd.tree_word[h] + _word_inverse(sd.tree_word[gh])
-        vec, end = sd.rewrite(word)
-        if end != 0:
-            raise CocycleError("cocycle word did not close")
-        return to_quotient(mod.project(vec))
-
     step = max(1, G.order // 7)
     picks = list(range(0, G.order, step))[:12]
     count = 0
@@ -488,6 +447,7 @@ def _verify_cocycle(sd, mod, to_quotient, rho_q, ell, qdim, samples=40):
 
 
 def _apply(mat_cols, v, ell):
+    """The matrix with columns mat_cols times the vector v, mod ell."""
     n = len(v)
     out = [0] * n
     for j, col in enumerate(mat_cols):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import catalog as _catalog
 from .fields import is_prime
 from .group import FinGroup, kernel_key
-from .perms import pmul
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,7 @@ class OrigamiPair:
 
     @property
     def commutator(self) -> int:
-        G = self.group
-        return G.mul(G.mul(G.inv(self.a), G.inv(self.b)), G.mul(self.a, self.b))
+        return self.group.commutator(self.a, self.b)
 
     @property
     def genus(self) -> int:
@@ -64,12 +62,8 @@ def enumerate_origami_pairs(G: FinGroup):
     for cls in classes:
         ar = cls[0]
         weight = len(cls)
-        aperm = G.elements[ar]
-        ainv = G.inv(ar)
         for b in range(G.order):
-            binv = G.inv(b)
-            c = G.mul(G.mul(ainv, binv), G.index[pmul(aperm, G.elements[b])])
-            if orders[c] != 2:
+            if orders[G.commutator(ar, b)] != 2:
                 continue
             key = kernel_key(G, (ar, b))
             if key is None:

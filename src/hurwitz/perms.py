@@ -40,20 +40,3 @@ def porder(a: Perm) -> int:
         o = lcm(o, length)
     return o
 
-
-def cycle_notation(a: Perm) -> str:
-    n = len(a)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i] or a[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = a[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"

@@ -53,11 +53,18 @@ def test_h1_character_values(klein):
     assert h1.genus == 3
     assert h1.character.at_element(0) == 6  # chi(1) = 2g
     assert h1.faithful
-    # Lefschetz: chi(h) = 2 - Fix(h) on a nontrivial class
-    for ci, cls in enumerate(G.conjugacy_classes()):
-        if ci == 0:
-            continue
-        assert h1.character.at_class(ci) == 2 - fixed_points(G, t, cls[0])
+    # Lefschetz: chi(h) = 2 - Fix(h) on a nontrivial class, against the
+    # direct coset scan of fixed_points
+    cases = [(G, t)]
+    for H, type_ in ((catalog.psl2(8), (2, 3, 7)), (catalog.psl2(13), (2, 3, 7)),
+                     (catalog.alternating(5), (2, 5, 5))):
+        cases.append((H, dessins.enumerate_triples(H, type_)[0].representative))
+    for G, t in cases:
+        h1 = h1_character(G, t)
+        for ci, cls in enumerate(G.conjugacy_classes()):
+            if ci == 0:
+                continue
+            assert h1.character.at_class(ci) == 2 - fixed_points(G, t, cls[0])
 
 
 def test_h1_orthogonal_to_trivial(klein):
@@ -75,6 +82,10 @@ def test_permutation_character_transitive(klein):
         assert chi.at_element(0) == size
         # transitivity: one trivial constituent (Burnside)
         assert chi.inner_product(trivial_character(G)) == 1
+    # the three coset actions together are the direct scan of fixed_points
+    chis = [permutation_character(G, t, which) for which in "xyz"]
+    for ci, cls in enumerate(G.conjugacy_classes()[1:], start=1):
+        assert sum(chi.at_class(ci) for chi in chis) == fixed_points(G, t, cls[0])
 
 
 def test_character_suite_all_small_census_entries():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hurwitz import cli
+from hurwitz import cli, dessins
 
 
 def run(args):
@@ -157,6 +157,24 @@ def test_census_characters_flag(capsys):
     char = row["groups"][0]["classes"][0]["character"]
     assert char["faithful"] is True
     assert char["genus"] == 3
+
+
+def test_census_characters_reuse_the_census_enumeration(monkeypatch, capsys):
+    calls = []
+    enumerate_triples = dessins.enumerate_triples
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return enumerate_triples(*args, **kwargs)
+    monkeypatch.setattr(dessins, "enumerate_triples", counted)
+    code, out = run_main(["census", "--max-genus", "7", "--characters"], capsys)
+    assert code == 0
+    # one enumeration per candidate group: PSL(2,7), SL(2,7), PSL(2,8)
+    assert calls == ["PSL(2,7)", "SL(2,7)", "PSL(2,8)"]
+    report = json.loads(out)
+    genera = [cls["character"]["genus"] for row in report["census"]
+              for grp in row["groups"] for cls in grp["classes"]]
+    assert genera == [3, 7]
 
 
 def test_data_pack_env(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,8 @@ from hurwitz import catalog, dessins
 from hurwitz.catalog import census_catalog
 from hurwitz.dessins import (count_triples_brute, enumerate_triples, genus_of,
                              hurwitz_census, order_for_genus, passport)
+from hurwitz.group import group_from_generators
+from hurwitz.perms import pinv, pmul
 
 
 def test_genus_formula_paper_orders():
@@ -96,10 +98,19 @@ def test_census_small():
 
 
 def test_census_jobs_deterministic():
+    # a relabelled second PSL(2,7) gives order 168 two candidates, so jobs=3
+    # runs the process pool, and the cross-group merge keeps one class
     cat = census_catalog(7)
+    G = catalog.psl2(7)
+    sigma = tuple((5 * i + 3) % G.degree for i in range(G.degree))
+    gens = [pmul(pmul(sigma, g), pinv(sigma)) for g in reversed(G.generators)]
+    cat.add_group(group_from_generators(gens, name="PSL(2,7) relabelled"))
     a = hurwitz_census(cat, 7, jobs=1)
     b = hurwitz_census(cat, 7, jobs=3)
     assert a == b
+    row3 = next(r for r in a["census"] if r["genus"] == 3)
+    assert row3["searched"][:2] == ["PSL(2,7)", "PSL(2,7) relabelled"]
+    assert a["counts"]["3"] == 1
 
 
 def test_census_raises_errors_other_than_cap(monkeypatch):

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.fields import (Fq, factorize, find_irreducible, fq_make,
-                            is_irreducible, is_prime, prime_power)
+from hurwitz.fields import (Fq, factorize, find_irreducible, is_irreducible,
+                            is_prime, prime_power)
 
 
 def test_is_prime_small():
@@ -42,7 +42,7 @@ def test_reducible_detected():
 
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 3), (3, 3), (13, 1)])
 def test_field_axioms_exhaustive(p, f):
-    F = fq_make(p, f)
+    F = Fq(p, f)
     q = F.q
     assert q == p ** f
     els = list(F.elements())
@@ -61,29 +61,29 @@ def test_field_axioms_exhaustive(p, f):
 
 def test_generator_has_full_order():
     for p, f in [(2, 3), (3, 3), (7, 1), (13, 1)]:
-        F = fq_make(p, f)
+        F = Fq(p, f)
         g = F.generator()
         assert F.element_order(g) == F.q - 1
 
 
 def test_square_count():
     # odd q: (q+1)/2 squares including 0; even q: everything is a square
-    F = fq_make(13, 1)
+    F = Fq(13, 1)
     assert sum(F.is_square(a) for a in F.elements()) == 7
-    F = fq_make(2, 3)
+    F = Fq(2, 3)
     assert all(F.is_square(a) for a in F.elements())
 
 
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
 @settings(max_examples=60, deadline=None)
 def test_f27_associativity(a, b, c):
-    F = fq_make(3, 3)
+    F = Fq(3, 3)
     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
     assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
 
 
-def test_fq_make_rejects_bad_input():
+def test_fq_rejects_bad_input():
     with pytest.raises(ValueError):
-        fq_make(4, 1)
+        Fq(4, 1)
     with pytest.raises(ValueError):
-        fq_make(2, 0)
+        Fq(2, 0)

@@ -2,16 +2,21 @@
 
 Each case relabels a catalog group's points by a random permutation,
 rebuilds the group from the conjugated generators in reversed order (so the
-element indices change too), and compares classifications and canonical
-Cayley keys with the original.
+element indices change too), and compares classifications, canonical
+Cayley keys, derived subgroups, simplicity and H^1 characters with the
+original.  A save_group/load_group round trip must keep the element
+indices, so serialized classes survive it unchanged.
 """
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz import catalog
-from hurwitz.dessins import enumerate_triples
+from hurwitz.charfix import h1_character
+from hurwitz.dessins import (TriangleTriple, enumerate_triples, genus_of,
+                             serialize_class)
 from hurwitz.group import generates, group_from_generators, kernel_key
 from hurwitz.origami import enumerate_origami_pairs
 
@@ -71,3 +76,33 @@ def test_kernel_key_is_representation_independent(case, data):
     for c in enumerate_triples(G, case[1]):
         t = c.representative
         assert kernel_key(H, (phi[t.x], phi[t.y])) == kernel_key(G, (t.x, t.y))
+
+
+@given(relabelled_case())
+@settings(max_examples=12, deadline=None)
+def test_group_invariants_are_representation_independent(case):
+    G, type_, H, phi = case
+    assert len(H.commutator_subgroup()) == len(G.commutator_subgroup())
+    assert H.is_simple() == G.is_simple()
+    if genus_of(G.order, type_) < 2:
+        return
+    for c in enumerate_triples(G, type_):
+        t = c.representative
+        u = TriangleTriple(H, phi[t.x], phi[t.y], phi[t.z], t.type)
+        chi_g, chi_h = h1_character(G, t).character, h1_character(H, u).character
+        assert all(chi_h.at_element(phi[i]) == chi_g.at_element(i)
+                   for i in range(G.order))
+
+
+@pytest.mark.parametrize("G,type_", CASES, ids=[G.name for G, _ in CASES])
+def test_save_load_round_trip_keeps_classes(G, type_, tmp_path):
+    path = tmp_path / "group.grp"
+    catalog.save_group(G, path)
+    H = catalog.load_group(path)
+    assert H.elements == G.elements
+    assert [serialize_class(c) for c in enumerate_triples(H, type_)] == \
+        [serialize_class(c) for c in enumerate_triples(G, type_)]
+    assert [(c.class_size, c.representative.a, c.representative.b)
+            for c in enumerate_origami_pairs(H)] == \
+        [(c.class_size, c.representative.a, c.representative.b)
+         for c in enumerate_origami_pairs(G)]
