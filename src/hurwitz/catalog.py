@@ -178,7 +178,7 @@ def semidirect(mod_orders, matrices, cap=DEFAULT_CAP, name=None) -> FinGroup:
         gens.append(tuple(images))
     mat_group_order = 1
     if mat_perms:
-        mat_group_order = len(group_from_generators(mat_perms, cap=cap).elements)
+        mat_group_order = group_from_generators(mat_perms, cap=cap).order
     label = name or ("x".join(f"C{m}" for m in mods) +
                      ":" + "/".join(";".join(",".join(str(x) for x in row)
                                              for row in M) for M in matrices))
@@ -454,27 +454,31 @@ class Catalog:
         self.cap = cap
         self.version = CATALOG_VERSION
         self._extra = []
+        self._candidates = {}  # order -> perfect candidates, built once
 
     def add_group(self, G: FinGroup) -> None:
         self._extra.append(G)
+        self._candidates.clear()
 
     def perfect_candidates(self, order: int):
-        """Perfect catalog groups of exactly the given order."""
-        out = []
-        for q in range(4, self.q_max + 1):
-            if prime_power(q) is None:
-                continue
-            if psl2_order(q) == order:
-                out.append(psl2(q, cap=self.cap))
-            if q % 2 and q >= 5 and q * (q * q - 1) == order:
-                out.append(sl2(q, cap=self.cap))
-        for k in range(5, self.max_alt_degree + 1):
-            if factorial(k) // 2 == order:
-                out.append(alternating(k, cap=self.cap))
-        for G in self._extra:
-            if G.order == order:
-                out.append(G)
-        return [G for G in out if G.is_perfect()]
+        """Perfect catalog groups of exactly the given order, built once per order."""
+        if order not in self._candidates:
+            out = []
+            for q in range(4, self.q_max + 1):
+                if prime_power(q) is None:
+                    continue
+                if psl2_order(q) == order:
+                    out.append(psl2(q, cap=self.cap))
+                if q % 2 and q >= 5 and q * (q * q - 1) == order:
+                    out.append(sl2(q, cap=self.cap))
+            for k in range(5, self.max_alt_degree + 1):
+                if factorial(k) // 2 == order:
+                    out.append(alternating(k, cap=self.cap))
+            for G in self._extra:
+                if G.order == order:
+                    out.append(G)
+            self._candidates[order] = [G for G in out if G.is_perfect()]
+        return list(self._candidates[order])
 
     def searched_families(self, order: int):
         """Names of catalog groups of this order covered by the perfectness filter."""
@@ -496,31 +500,19 @@ class Catalog:
 def census_catalog(g_max: int, type_=(2, 3, 7), cap=DEFAULT_CAP,
                    data_pack=None) -> Catalog:
     """Default census catalog, with the order-1344 groups built by the
-    homology pipeline (and optionally cached as data-pack files)."""
+    homology pipeline and any data-pack groups as extra candidates."""
     cat = Catalog(cap=cap)
     if tuple(type_) == (2, 3, 7) and 84 * (g_max - 1) >= 1344:
-        for G in genus17_groups(cap=cap, data_pack=data_pack):
+        for G in genus17_groups(cap=cap):
             cat.add_group(G)
     if data_pack:
         for path in sorted(Path(data_pack).glob("*.grp")):
-            if not path.name.startswith("ext-"):
-                cat.add_group(load_group(path, cap=cap))
+            cat.add_group(load_group(path, cap=cap))
     return cat
 
 
-def genus17_groups(cap=DEFAULT_CAP, data_pack=None):
-    """The homology-built order-1344 Hurwitz groups, cached if a pack dir is set."""
+def genus17_groups(cap=DEFAULT_CAP):
+    """The homology-built order-1344 Hurwitz groups."""
     from . import homology  # deferred to avoid an import cycle
 
-    if data_pack:
-        pack = Path(data_pack)
-        paths = sorted(pack.glob("ext-1344-*.grp"))
-        if len(paths) == 2:
-            return [load_group(p, cap=cap) for p in paths]
-    groups = [ext.group for ext in homology.klein_extension_groups(cap=cap)]
-    if data_pack:
-        pack = Path(data_pack)
-        pack.mkdir(parents=True, exist_ok=True)
-        for i, G in enumerate(groups, start=1):
-            save_group(G, pack / f"ext-1344-{i}.grp")
-    return groups
+    return [ext.group for ext in homology.klein_extension_groups(cap=cap)]

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage error, 2 cap or feasibility error.  All
 reports carry a top-level schema field and are byte-identical across runs
-and parallelism degrees for a fixed configuration.
+for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ def _cmd_census(args, out) -> int:
     type_ = _parse_type(args.type)
     cat = catalog.census_catalog(args.max_genus, type_=type_, cap=args.cap,
                                  data_pack=args.data_pack)
-    result = dessins.hurwitz_census(cat, args.max_genus, type_=type_,
-                                    jobs=args.jobs)
+    result = dessins.hurwitz_census(cat, args.max_genus, type_=type_)
     if args.characters:
         for row in result["census"]:
             _append_characters(row, cat, type_, args.cap)
@@ -297,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                        help="group order cap")
         p.add_argument("--data-pack", default=os.environ.get("HURWITZ_DATA_PACK"),
-                       help="directory of cached generator files "
-                            "(default: $HURWITZ_DATA_PACK)")
+                       help="directory of generator files added as census "
+                            "candidates (default: $HURWITZ_DATA_PACK)")
         if group:
             p.add_argument("--group", required=True,
                            help="group spec, e.g. psl2:7, alt:5, file:PATH")
@@ -307,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--type", default="2,3,7")
     p.add_argument("--max-genus", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--characters", action="store_true",
                    help="append H^1 character rows per class")
     p.set_defaults(func=_cmd_census)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .group import CapExceededError, FinGroup, generates, kernel_key
-from .perms import pinv, pmul, porder
+from .perms import pmul
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,8 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
         if not _order_matches(orders[xr], p, mode):
             continue
         weight = len(cls)
-        xperm = G.elements[xr]
         for y in ys:
-            xy = G.index[pmul(xperm, G.elements[y])]
+            xy = G.mul(xr, y)
             if not _order_matches(orders[xy], r, mode):
                 continue
             key = kernel_key(G, (xr, y))
@@ -149,21 +148,14 @@ def order_for_genus(g: int, type_):
     return int(order)
 
 
-def _enumerate_for_census(args):
-    G, type_ = args
-    return enumerate_triples(G, type_)
-
-
-def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7), jobs: int = 1):
+def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7)):
     """Count dessin classes per genus over the catalog's perfect candidates.
 
     Classes found in different (possibly isomorphic) candidate groups are
     deduplicated by their canonical Cayley key, so each curve is counted
     once; passports are reported data only.  The result is
     catalog-conditional by construction, and an order whose candidates
-    exceed the group-order cap is listed in "unchecked_orders".  jobs > 1
-    fans the per-group enumerations out to a process pool; the merge is
-    order-preserving, so output is identical at any parallelism degree.
+    exceed the group-order cap is listed in "unchecked_orders".
     """
     rows = []
     unchecked = []
@@ -176,16 +168,9 @@ def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7), jobs: int = 1):
         except CapExceededError:
             unchecked.append(order)
             continue
-        if jobs > 1 and len(candidates) > 1:
-            import multiprocessing
-            with multiprocessing.Pool(min(jobs, len(candidates))) as pool:
-                per_group = pool.map(_enumerate_for_census,
-                                     [(G, type_) for G in candidates])
-        else:
-            per_group = [enumerate_triples(G, type_) for G in candidates]
         kept = {}  # kernel key -> (group, DessinClass)
-        for G, classes in zip(candidates, per_group):
-            for cls in classes:
+        for G in candidates:
+            for cls in enumerate_triples(G, type_):
                 rep = cls.representative
                 kept.setdefault(kernel_key(G, (rep.x, rep.y)), (G, cls))
         rows.append({

@@ -30,6 +30,8 @@ class FinGroup:
         self.index = index
         self.order = len(elements)
         self.name = name
+        self._base_images = _base_images(elements)
+        self._by_base = {images: i for i, images in enumerate(self._base_images)}
         self._orders = None
         self._inverses = None
         self._classes = None
@@ -45,15 +47,16 @@ class FinGroup:
     # -- basic element arithmetic on indices --------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self.index[pmul(self.elements[i], self.elements[j])]
+        """Index of elements[i] * elements[j], looked up by its base images."""
+        return self._by_base[tuple(map(self.elements[i].__getitem__,
+                                       self._base_images[j]))]
 
     def inv(self, i: int) -> int:
         return self.inverse_indices()[i]
 
     def conj(self, i: int, g: int) -> int:
         """g^-1 * i * g."""
-        gp = self.elements[g]
-        return self.index[pmul(pmul(pinv(gp), self.elements[i]), gp)]
+        return self.mul(self.mul(self.inv(g), i), g)
 
     def element_order(self, i: int) -> int:
         orders = self.element_orders()
@@ -113,9 +116,6 @@ class FinGroup:
     def is_perfect(self) -> bool:
         return len(self.commutator_subgroup()) == self.order
 
-    def is_abelian(self) -> bool:
-        return len(self.commutator_subgroup()) == 1
-
     def is_simple(self) -> bool:
         """True iff every nontrivial conjugacy class has normal closure G."""
         if self.order == 1:
@@ -129,9 +129,29 @@ class FinGroup:
 
     def right_mult_table(self, i: int):
         """Array m with m[u] = index of u * elements[i]."""
-        e = self.elements[i]
-        idx = self.index
-        return [idx[pmul(u, e)] for u in self.elements]
+        mul = self.mul
+        return [mul(u, i) for u in range(self.order)]
+
+
+def _base_images(elements):
+    """Images of a base under each element, in element order.
+
+    A base is a list of points whose images determine an element (Sims; Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    Points join in order when they separate more elements, until all
+    elements have distinct images.  The product a*b maps a base point p to
+    a[b[p]], so its base images are a's images of b's base images.
+    """
+    images = [()] * len(elements)
+    distinct = 1
+    for p in range(len(elements[0])):
+        if distinct == len(elements):
+            break
+        extended = [im + (e[p],) for im, e in zip(images, elements)]
+        count = len(set(extended))
+        if count > distinct:
+            images, distinct = extended, count
+    return images
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
@@ -169,7 +189,7 @@ def conjugacy_classes(G: FinGroup):
     n = G.order
     assigned = [False] * n
     gen_idx = [G.index[g] for g in G.generators]
-    gen_inv = [G.index[pinv(g)] for g in G.generators]
+    gen_inv = [G.inv(g) for g in gen_idx]
     classes = []
     for start in range(n):
         if assigned[start]:
@@ -179,9 +199,8 @@ def conjugacy_classes(G: FinGroup):
         queue = [start]
         while queue:
             i = queue.pop()
-            ei = G.elements[i]
             for gi, gii in zip(gen_idx, gen_inv):
-                c = G.index[pmul(pmul(G.elements[gii], ei), G.elements[gi])]
+                c = G.mul(G.mul(gii, i), gi)
                 if not assigned[c]:
                     assigned[c] = True
                     orbit.append(c)
@@ -199,22 +218,18 @@ def subgroup_closure(G: FinGroup, gen_indices, stop_above=None):
     If stop_above is set, stop as soon as the partial closure exceeds it and
     return None (used for fast generation tests).
     """
-    gens = [G.elements[i] for i in gen_indices]
-    e = G.elements[0]
-    seen = {e}
-    elems = [e]
-    pos = 0
-    while pos < len(elems):
-        u = elems[pos]
-        pos += 1
-        for s in gens:
-            v = pmul(u, s)
-            if v not in seen:
-                seen.add(v)
+    seen = [False] * G.order
+    seen[0] = True
+    elems = [0]
+    for u in elems:
+        for s in gen_indices:
+            v = G.mul(u, s)
+            if not seen[v]:
+                seen[v] = True
                 elems.append(v)
                 if stop_above is not None and len(elems) > stop_above:
                     return None
-    return [G.index[x] for x in elems]
+    return elems
 
 
 def generates(G: FinGroup, gen_indices) -> bool:
@@ -238,17 +253,15 @@ def normal_closure(G: FinGroup, seeds):
     closed under both maps, hence under right multiplication by every
     conjugate of a seed, so it is the normal closure itself.
     """
-    elements, index = G.elements, G.index
-    seeds = [elements[s] for s in seeds]
-    conjugators = [(pinv(g), g) for g in G.generators]
+    mul = G.mul
+    gen_idx = [G.index[g] for g in G.generators]
+    conjugators = [(G.inv(g), g) for g in gen_idx]
     seen = {0}
     queue = [0]
     for u in queue:
-        up = elements[u]
-        images = [pmul(up, s) for s in seeds]
-        images += [pmul(pmul(ginv, up), g) for ginv, g in conjugators]
+        images = [mul(u, s) for s in seeds]
+        images += [mul(mul(ginv, u), g) for ginv, g in conjugators]
         for v in images:
-            v = index[v]
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -272,15 +285,13 @@ def cayley_labels(G: FinGroup, gens):
     give equal sequences exactly when gens1 -> gens2 extends to an
     isomorphism <gens1> -> <gens2>.  `gens` are element indices.
     """
-    elements, index = G.elements, G.index
-    gens = [elements[s] for s in gens]
+    mul = G.mul
     number = [-1] * G.order
     number[0] = 0
     queue = [0]
     for u in queue:
-        up = elements[u]
         for s in gens:
-            v = index[pmul(up, s)]
+            v = mul(u, s)
             label = number[v]
             if label < 0:
                 label = number[v] = len(queue)

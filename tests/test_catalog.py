@@ -124,6 +124,16 @@ def test_catalog_add_group():
     assert names.count("A5") >= 1
 
 
+def test_catalog_candidates_built_once_until_add_group():
+    cat = Catalog()
+    first = cat.perfect_candidates(60)
+    again = cat.perfect_candidates(60)
+    assert [G is H for G, H in zip(first, again)] == [True] * len(first)
+    again.clear()  # callers get their own list
+    cat.add_group(alternating(5))
+    assert len(cat.perfect_candidates(60)) == len(first) + 1
+
+
 def test_groups_of_order_16_contains_modular_group():
     hists = {_order_histogram(G) for G in groups_of_order(16)}
     assert _order_histogram(metacyclic(8, 5)) in hists

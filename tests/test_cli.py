@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hurwitz import cli, dessins
+from hurwitz import catalog, cli, dessins
 
 
 def run(args):
@@ -55,7 +55,6 @@ def test_usage_errors_exit_one(capsys):
     ["origami", "--genus", "1"],
     ["character", "--group", "alt:5", "--type", "2,3,5"],
     ["census", "--max-genus", "-5"],
-    ["census", "--max-genus", "3", "--jobs", "0"],
     ["census", "--max-genus", "3", "--cap", "0"],
 ], ids=" ".join)
 def test_bad_values_exit_one(args, capsys):
@@ -139,9 +138,9 @@ def test_character_subcommand(capsys):
 
 def test_census_small_and_deterministic(capsys):
     code1, out1 = run_main(["census", "--max-genus", "4"], capsys)
-    code2, out2 = run_main(["census", "--max-genus", "4", "--jobs", "2"], capsys)
+    code2, out2 = run_main(["census", "--max-genus", "4"], capsys)
     assert code1 == code2 == 0
-    assert out1 == out2  # byte-identical across parallelism degrees
+    assert out1 == out2  # byte-identical across runs
     report = json.loads(out1)
     assert report["schema"] == 1
     assert report["counts"] == {"2": 0, "3": 1, "4": 0}
@@ -175,6 +174,27 @@ def test_census_characters_reuse_the_census_enumeration(monkeypatch, capsys):
     genera = [cls["character"]["genus"] for row in report["census"]
               for grp in row["groups"] for cls in grp["classes"]]
     assert genera == [3, 7]
+
+
+def test_census_characters_build_each_candidate_once(monkeypatch, capsys):
+    built = []
+    psl2 = catalog.psl2
+
+    def counted(q, *args, **kwargs):
+        built.append(q)
+        return psl2(q, *args, **kwargs)
+    monkeypatch.setattr(catalog, "psl2", counted)
+    code, out = run_main(["census", "--max-genus", "14", "--characters"], capsys)
+    assert code == 0
+    assert built == [7, 8, 13]
+    # the characters only add fields to the plain census report
+    report = json.loads(out)
+    for row in report["census"]:
+        for grp in row["groups"]:
+            for cls in grp["classes"]:
+                assert cls.pop("character")["genus"] == row["genus"]
+    monkeypatch.undo()
+    assert report == json.loads(run_main(["census", "--max-genus", "14"], capsys)[1])
 
 
 def test_data_pack_env(tmp_path, monkeypatch, capsys):

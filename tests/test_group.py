@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import catalog
+from hurwitz import catalog, homology
 from hurwitz.group import (CapExceededError, commutator_subgroup, generates,
                            group_from_generators, normal_closure,
                            subgroup_closure)
@@ -90,6 +90,29 @@ def test_closure_and_inverse_laws(i, j):
     k = G.mul(i, j)
     assert 0 <= k < G.order
     assert G.inv(k) == G.mul(G.inv(j), G.inv(i))
+
+
+# one base shape each: empty, one point per factor, three points of the
+# projective line, two points, and one point of a regular action
+MUL_CASES = {
+    "C1": (lambda: catalog.cyclic(1), 0),
+    "C2xC2xC3": (lambda: catalog.abelian([2, 2, 3]), 3),
+    "PSL(2,8)": (lambda: catalog.psl2(8), 3),
+    "C8:C2(t=5)": (lambda: catalog.metacyclic(8, 5), 2),
+    "2^3.PSL(2,7)#1": (lambda: homology.klein_extension_groups()[0].group, 1),
+}
+
+
+@pytest.mark.parametrize("build,base_length", MUL_CASES.values(),
+                         ids=MUL_CASES.keys())
+def test_mul_matches_the_tuple_product(build, base_length):
+    G = build()
+    assert {len(images) for images in G._base_images} == {base_length}
+    assert len(set(G._base_images)) == G.order
+    step = max(1, G.order // 40)
+    for i in range(0, G.order, step):
+        for j in range(G.order - 1, -1, -step):
+            assert G.mul(i, j) == G.index[pmul(G.elements[i], G.elements[j])]
 
 
 def test_perm_helpers():

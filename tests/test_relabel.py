@@ -19,6 +19,7 @@ from hurwitz.dessins import (TriangleTriple, enumerate_triples, genus_of,
                              serialize_class)
 from hurwitz.group import generates, group_from_generators, kernel_key
 from hurwitz.origami import enumerate_origami_pairs
+from hurwitz.perms import pmul
 
 CASES = [
     (catalog.psl2(7), (2, 3, 7)),
@@ -71,7 +72,11 @@ def test_kernel_key_is_representation_independent(case, data):
                                st.integers(0, G.order - 1)))
     key = kernel_key(G, pair)
     assert (key is None) == (not generates(G, pair))
-    assert kernel_key(H, (phi[pair[0]], phi[pair[1]])) == key
+    # the relabelled group has its own base; its products still agree
+    a, b = phi[pair[0]], phi[pair[1]]
+    assert len(set(H._base_images)) == H.order
+    assert H.mul(a, b) == H.index[pmul(H.elements[a], H.elements[b])]
+    assert kernel_key(H, (a, b)) == key
     # every class representative keeps its key under the relabelling
     for c in enumerate_triples(G, case[1]):
         t = c.representative
