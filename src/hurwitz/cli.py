@@ -53,6 +53,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _directory(text: str) -> str:
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"not a directory: {text!r}")
+    return text
+
+
 def _load_group(spec: str, cap: int):
     try:
         return catalog.parse_group_spec(spec, cap=cap)
@@ -295,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "tsv"], default="json")
         p.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                        help="group order cap")
-        p.add_argument("--data-pack", default=os.environ.get("HURWITZ_DATA_PACK"),
-                       help="directory of generator files added as census "
-                            "candidates (default: $HURWITZ_DATA_PACK)")
         if group:
             p.add_argument("--group", required=True,
                            help="group spec, e.g. psl2:7, alt:5, file:PATH")
@@ -306,6 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--type", default="2,3,7")
     p.add_argument("--max-genus", type=_positive_int, required=True)
+    p.add_argument("--data-pack", type=_directory,
+                   default=os.environ.get("HURWITZ_DATA_PACK"),
+                   help="directory of generator files added as census "
+                        "candidates (default: $HURWITZ_DATA_PACK)")
     p.add_argument("--characters", action="store_true",
                    help="append H^1 character rows per class")
     p.set_defaults(func=_cmd_census)

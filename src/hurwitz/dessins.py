@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .group import CapExceededError, FinGroup, generates, kernel_key
 from .perms import pmul
 
@@ -93,8 +95,7 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
         if not _order_matches(orders[xr], p, mode):
             continue
         weight = len(cls)
-        for y in ys:
-            xy = G.mul(xr, y)
+        for y, xy in zip(ys, G.products(np.full(len(ys), xr), ys).tolist()):
             if not _order_matches(orders[xy], r, mode):
                 continue
             key = kernel_key(G, (xr, y))

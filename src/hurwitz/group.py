@@ -7,7 +7,11 @@ the table-based approach honest; everything in scope fits well below it.
 
 from __future__ import annotations
 
-from .perms import identity, pinv, pmul, porder
+from itertools import chain
+
+import numpy as np
+
+from .perms import identity, pmul
 
 DEFAULT_CAP = 200_000
 
@@ -30,8 +34,9 @@ class FinGroup:
         self.index = index
         self.order = len(elements)
         self.name = name
-        self._base_images = _base_images(elements)
+        self._base, self._base_images = _base(elements)
         self._by_base = {images: i for i, images in enumerate(self._base_images)}
+        self._array = None
         self._orders = None
         self._inverses = None
         self._classes = None
@@ -62,14 +67,82 @@ class FinGroup:
         orders = self.element_orders()
         return orders[i]
 
+    def products(self, I, J):
+        """Index array of elements[I[k]] * elements[J[k]], for index arrays I, J.
+
+        The batch form of `mul`: I's images of J's base images are gathered
+        from the element array and looked up by their codes.
+        """
+        images = self._element_array()[np.asarray(I, dtype=np.intp)[:, None],
+                                       self._base_columns.take(J, axis=0)]
+        return self._lookup(images)
+
+    def _element_array(self):
+        """The n x degree element array, built on first use together with
+        the exact codes of the base images.
+
+        The base is cut into runs of columns short enough that n * degree**run
+        stays below 2**63.  A run's images are read as base-`degree` digits
+        after the previous run's code, and the result is replaced by its rank
+        among the elements' codes, so codes stay exact and the last run's
+        ranks number the elements 0..n-1.
+        """
+        if self._array is not None:
+            return self._array
+        n, degree = self.order, self.degree
+        dtype = np.min_scalar_type(max(degree - 1, 0))
+        A = np.fromiter(chain.from_iterable(self.elements), dtype=dtype,
+                        count=n * degree).reshape(n, degree)
+        base_columns = A[:, self._base].astype(np.intp)
+        run = 1
+        while n * max(degree, 2) ** (run + 1) < 2 ** 63:
+            run += 1
+        self._runs = []
+        code = 0
+        for start in range(0, max(len(self._base), 1), run):
+            cols = slice(start, start + run)
+            width = len(self._base[cols])
+            weights = np.array([degree ** (width - 1 - c) for c in range(width)],
+                               dtype=np.int64)
+            code = code * degree ** width + base_columns[:, cols] @ weights
+            # not np.unique: it imports numpy.ma, 1.6 MB of resident memory
+            ranks = np.array(sorted(set(code.tolist())), dtype=np.int64)
+            code = ranks.searchsorted(code)
+            self._runs.append((cols, degree ** width, weights, ranks))
+        self._by_code = np.empty(n, dtype=np.intp)
+        self._by_code[code] = np.arange(n)
+        self._array, self._base_columns = A, base_columns
+        return A
+
+    def _lookup(self, images):
+        """Element indices of the rows of base images (k x len(base))."""
+        code = 0
+        for cols, span, weights, ranks in self._runs:
+            code = ranks.searchsorted(code * span + images[:, cols] @ weights)
+        return self._by_code[code]
+
     def element_orders(self):
+        """Orders by repeated products over the elements not yet at the identity."""
         if self._orders is None:
-            self._orders = [porder(e) for e in self.elements]
+            orders = np.ones(self.order, dtype=np.intp)
+            live = np.arange(1, self.order)
+            power, k = live, 1
+            while len(live):
+                k += 1
+                power = self.products(power, live)
+                done = power == 0
+                orders[live[done]] = k
+                live, power = live[~done], power[~done]
+            self._orders = orders.tolist()
         return self._orders
 
     def inverse_indices(self):
+        """Inverses looked up by the base images of the inverse permutations."""
         if self._inverses is None:
-            self._inverses = [self.index[pinv(e)] for e in self.elements]
+            A = self._element_array()
+            inverse = np.empty_like(A)
+            inverse[np.arange(self.order)[:, None], A] = np.arange(self.degree)
+            self._inverses = self._lookup(inverse[:, self._base]).tolist()
         return self._inverses
 
     # -- conjugacy classes ---------------------------------------------------
@@ -133,8 +206,8 @@ class FinGroup:
         return [mul(u, i) for u in range(self.order)]
 
 
-def _base_images(elements):
-    """Images of a base under each element, in element order.
+def _base(elements):
+    """A base, and its images under each element in element order.
 
     A base is a list of points whose images determine an element (Sims; Holt,
     Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
@@ -142,6 +215,7 @@ def _base_images(elements):
     elements have distinct images.  The product a*b maps a base point p to
     a[b[p]], so its base images are a's images of b's base images.
     """
+    base = []
     images = [()] * len(elements)
     distinct = 1
     for p in range(len(elements[0])):
@@ -150,8 +224,9 @@ def _base_images(elements):
         extended = [im + (e[p],) for im, e in zip(images, elements)]
         count = len(set(extended))
         if count > distinct:
+            base.append(p)
             images, distinct = extended, count
-    return images
+    return base, images
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
@@ -275,23 +350,24 @@ def commutator_subgroup(G: FinGroup):
     return normal_closure(G, seeds)
 
 
-def cayley_labels(G: FinGroup, gens):
-    """Canonical labels of the Cayley graph of <gens>, yielded lazily.
+def cayley_labels(tables):
+    """Canonical labels of a Cayley graph, yielded lazily.
 
-    BFS from the identity, trying the generators in the given order, numbers
-    the elements in discovery order; for each element u in that order and
-    each generator s it yields the number of u*s.  The sequence describes the
-    right-regular action of <gens> up to relabelling, so two generator tuples
-    give equal sequences exactly when gens1 -> gens2 extends to an
-    isomorphism <gens1> -> <gens2>.  `gens` are element indices.
+    `tables` are the right-multiplication tables of the generators, as
+    lists: tables[s][u] is the index of u * s.  BFS from the identity (index
+    0), trying the generators in the given order, numbers the elements in
+    discovery order; for each element u in that order and each generator s
+    it yields the number of u*s.  The sequence describes the right-regular
+    action of <gens> up to relabelling, so two generator tuples give equal
+    sequences exactly when gens1 -> gens2 extends to an isomorphism
+    <gens1> -> <gens2>.
     """
-    mul = G.mul
-    number = [-1] * G.order
+    number = [-1] * len(tables[0])
     number[0] = 0
     queue = [0]
     for u in queue:
-        for s in gens:
-            v = mul(u, s)
+        for table in tables:
+            v = table[u]
             label = number[v]
             if label < 0:
                 label = number[v] = len(queue)
@@ -304,8 +380,11 @@ def kernel_key(G: FinGroup, gens):
 
     Equal keys mean exactly that gens1 -> gens2 extends to an isomorphism,
     i.e. that the two epimorphisms from the free group have equal kernels.
+    The tables come from one batch product per generator.
     """
-    key = tuple(cayley_labels(G, gens))
+    rows = np.arange(G.order)
+    tables = [G.products(rows, np.full(G.order, s)).tolist() for s in gens]
+    key = tuple(cayley_labels(tables))
     return key if len(key) == len(gens) * G.order else None
 
 

@@ -464,7 +464,8 @@ def _has_complement(E: FinGroup, G: FinGroup) -> bool:
     images (gx, gy) satisfy gx -> ax, gy -> ay extending to an isomorphism
     G -> <ax, ay>, i.e. iff the Cayley labels of (ax, ay) in E equal the
     canonical Cayley key of (gx, gy) in G.  Each lift pair is compared
-    lazily and dropped at its first mismatching label.
+    lazily and dropped at its first mismatching label.  The lifts' tables
+    come from the scalar `mul`, so E never builds an element array.
     """
     base = G.order
     # Point 0 of the extension is (0, identity), so e.elements[i][0] encodes
@@ -472,11 +473,13 @@ def _has_complement(E: FinGroup, G: FinGroup) -> bool:
     gx = E.generators[0][0] % base
     gy = E.generators[1][0] % base
     key = kernel_key(G, (gx, gy))
-    lifts_x = [i for i in range(E.order) if E.elements[i][0] % base == gx]
-    lifts_y = [i for i in range(E.order) if E.elements[i][0] % base == gy]
+    lifts_x = [E.right_mult_table(i) for i in range(E.order)
+               if E.elements[i][0] % base == gx]
+    lifts_y = [E.right_mult_table(i) for i in range(E.order)
+               if E.elements[i][0] % base == gy]
     for ax in lifts_x:
         for ay in lifts_y:
-            labels = cayley_labels(E, (ax, ay))
+            labels = cayley_labels([ax, ay])
             if all(a == b for a, b in zip_longest(labels, key)):
                 return True
     return False

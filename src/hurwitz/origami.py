@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import catalog as _catalog
 from .fields import is_prime
 from .group import FinGroup, kernel_key
@@ -59,11 +61,16 @@ def enumerate_origami_pairs(G: FinGroup):
     classes = G.conjugacy_classes()
     orders = G.element_orders()
     found = {}  # kernel key -> [OrigamiPair, weight]
+    bs = np.arange(G.order)
+    b_inverses = np.array(G.inverse_indices())
     for cls in classes:
         ar = cls[0]
         weight = len(cls)
-        for b in range(G.order):
-            if orders[G.commutator(ar, b)] != 2:
+        # [a, b] = (a^-1 b^-1)(a b) for every b at once
+        left = G.products(np.full(G.order, G.inv(ar)), b_inverses)
+        commutators = G.products(left, G.products(np.full(G.order, ar), bs))
+        for b, c in enumerate(commutators.tolist()):
+            if orders[c] != 2:
                 continue
             key = kernel_key(G, (ar, b))
             if key is None:

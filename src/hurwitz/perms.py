@@ -17,6 +17,10 @@ def pmul(a: Perm, b: Perm) -> Perm:
 
 
 def pinv(a: Perm) -> Perm:
+    """Inverse permutation.
+
+    Kept as the test oracle for `FinGroup.inverse_indices`.
+    """
     out = [0] * len(a)
     for i, j in enumerate(a):
         out[j] = i
@@ -24,7 +28,10 @@ def pinv(a: Perm) -> Perm:
 
 
 def porder(a: Perm) -> int:
-    """Order of a permutation via its cycle lengths."""
+    """Order of a permutation via its cycle lengths.
+
+    Kept as the test oracle for `FinGroup.element_orders`.
+    """
     n = len(a)
     seen = [False] * n
     o = 1

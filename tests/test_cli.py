@@ -56,6 +56,8 @@ def test_usage_errors_exit_one(capsys):
     ["character", "--group", "alt:5", "--type", "2,3,5"],
     ["census", "--max-genus", "-5"],
     ["census", "--max-genus", "3", "--cap", "0"],
+    ["dessins", "--group", "psl2:7", "--data-pack", "X"],
+    ["census", "--max-genus", "3", "--data-pack", "/nonexistent"],
 ], ids=" ".join)
 def test_bad_values_exit_one(args, capsys):
     assert cli.main(args) == 1

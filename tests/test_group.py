@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz import catalog, homology
 from hurwitz.group import (CapExceededError, commutator_subgroup, generates,
-                           group_from_generators, normal_closure,
+                           group_from_generators, kernel_key, normal_closure,
                            subgroup_closure)
+from hurwitz.origami import origami_existence
 from hurwitz.perms import pinv, pmul, porder
 
 
@@ -113,6 +116,62 @@ def test_mul_matches_the_tuple_product(build, base_length):
     for i in range(0, G.order, step):
         for j in range(G.order - 1, -1, -step):
             assert G.mul(i, j) == G.index[pmul(G.elements[i], G.elements[j])]
+
+
+@pytest.mark.parametrize("build", [b for b, _ in MUL_CASES.values()],
+                         ids=MUL_CASES.keys())
+def test_products_match_mul(build):
+    G = build()
+    step = max(1, G.order // 40)
+    pairs = [(i, j) for i in range(0, G.order, step)
+             for j in range(G.order - 1, -1, -step)]
+    I, J = zip(*pairs)
+    assert G.products(I, J).tolist() == [G.mul(i, j) for i, j in pairs]
+
+
+def test_products_exact_past_int64_codes():
+    # 28**14 base-image codes do not fit in int64; the runs are re-ranked
+    G = catalog.abelian([2] * 14)
+    assert G.degree ** len(G._base) > 2 ** 63
+    rng = random.Random(14)
+    I = [rng.randrange(G.order) for _ in range(2000)]
+    J = [rng.randrange(G.order) for _ in range(2000)]
+    assert G.products(I, J).tolist() == [G.mul(i, j) for i, j in zip(I, J)]
+    assert G.products([], []).tolist() == []
+
+
+def _scalar_key(G, gens):
+    """Oracle for kernel_key: the Cayley BFS with one scalar `mul` per edge."""
+    number = {0: 0}
+    queue = [0]
+    labels = []
+    for u in queue:
+        for s in gens:
+            v = G.mul(u, s)
+            if v not in number:
+                number[v] = len(queue)
+                queue.append(v)
+            labels.append(number[v])
+    return tuple(labels) if len(queue) == G.order else None
+
+
+ORACLE_GROUPS = {
+    "A5": lambda: catalog.alternating(5),
+    "PSL(2,8)": lambda: catalog.psl2(8),
+    "origami24": lambda: origami_existence(7).witness.group,
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_GROUPS.values(), ids=ORACLE_GROUPS.keys())
+def test_batch_paths_match_scalar_oracles(build):
+    G = build()
+    rng = random.Random(G.order)
+    pairs = [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(40)]
+    keys = [kernel_key(G, pair) for pair in pairs]
+    assert keys == [_scalar_key(G, pair) for pair in pairs]
+    assert any(k is None for k in keys) and any(k is not None for k in keys)
+    assert G.element_orders() == [porder(e) for e in G.elements]
+    assert G.inverse_indices() == [G.index[pinv(e)] for e in G.elements]
 
 
 def test_perm_helpers():

@@ -139,6 +139,13 @@ def test_extension_orders_and_projection(klein):
         assert all(E.group.element_order(i) in (1, 2) for i in ker)
 
 
+def test_extension_groups_build_no_element_array():
+    # the splitting test stays on the scalar product, so the order-1344
+    # groups never hold a 1344 x 1344 element array after their build
+    for ext in klein_extension_groups():
+        assert ext.group._array is None
+
+
 def test_genus17_pipeline_distinct_kernels():
     exts = klein_extension_groups()
     assert len(exts) == 2

@@ -76,6 +76,8 @@ def test_kernel_key_is_representation_independent(case, data):
     a, b = phi[pair[0]], phi[pair[1]]
     assert len(set(H._base_images)) == H.order
     assert H.mul(a, b) == H.index[pmul(H.elements[a], H.elements[b])]
+    assert H.products([a] * H.order, range(H.order)).tolist() == \
+        [H.mul(a, j) for j in range(H.order)]
     assert kernel_key(H, (a, b)) == key
     # every class representative keeps its key under the relabelling
     for c in enumerate_triples(G, case[1]):
