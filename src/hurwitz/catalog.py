@@ -13,6 +13,11 @@ from pathlib import Path
 from .fields import Fq, factorize, is_prime, prime_power
 from .group import DEFAULT_CAP, FinGroup, group_from_generators
 
+# The catalog's bounds: PSL/SL/PGL(2,q) for prime powers q <= PSL2_Q_MAX,
+# symmetric and alternating groups of degree <= MAX_ALT_DEGREE.
+PSL2_Q_MAX = 32
+MAX_ALT_DEGREE = 8
+
 
 class _OrderMismatch(RuntimeError):
     pass
@@ -333,12 +338,12 @@ def groups_of_order(n: int, cap=DEFAULT_CAP):
                 out.append(metacyclic(m, t, cap=cap))
     if n % 4 == 0 and n >= 8:
         out.append(dicyclic(n // 4, cap=cap))
-    for k in range(2, 9):
+    for k in range(2, MAX_ALT_DEGREE + 1):
         if factorial(k) == n:
             out.append(symmetric(k, cap=cap))
         if factorial(k) // 2 == n and k >= 4:
             out.append(alternating(k, cap=cap))
-    for q in range(4, 33):
+    for q in range(4, PSL2_Q_MAX + 1):
         if prime_power(q) is None:
             continue
         if psl2_order(q) == n:
@@ -441,19 +446,18 @@ class Catalog:
     """Candidate supply for the (catalog-conditional) Hurwitz census.
 
     Perfect candidates of a given order are drawn from PSL/SL(2,q) for
-    prime powers q <= q_max and alternating groups, plus any explicitly
-    registered groups (data packs, homology-built extensions).  The solvable
+    prime powers q <= PSL2_Q_MAX and alternating groups, plus any explicitly
+    registered groups (homology-built extensions, data packs).  The solvable
     families of the same order are recorded as searched without being
     enumerated: their abelianizations are nontrivial, so they admit no
     perfect quotient and in particular no triangle-type generating triple.
     """
 
-    def __init__(self, q_max: int = 32, max_alt_degree: int = 8, cap=DEFAULT_CAP):
-        self.q_max = q_max
-        self.max_alt_degree = max_alt_degree
+    def __init__(self, cap=DEFAULT_CAP):
         self.cap = cap
         self.version = CATALOG_VERSION
         self._extra = []
+        self._deferred = {}  # order -> builder of extra groups, run on first use
         self._candidates = {}  # order -> perfect candidates, built once
 
     def add_group(self, G: FinGroup) -> None:
@@ -464,16 +468,20 @@ class Catalog:
         """Perfect catalog groups of exactly the given order, built once per order."""
         if order not in self._candidates:
             out = []
-            for q in range(4, self.q_max + 1):
+            for q in range(4, PSL2_Q_MAX + 1):
                 if prime_power(q) is None:
                     continue
                 if psl2_order(q) == order:
                     out.append(psl2(q, cap=self.cap))
                 if q % 2 and q >= 5 and q * (q * q - 1) == order:
                     out.append(sl2(q, cap=self.cap))
-            for k in range(5, self.max_alt_degree + 1):
+            for k in range(5, MAX_ALT_DEGREE + 1):
                 if factorial(k) // 2 == order:
                     out.append(alternating(k, cap=self.cap))
+            if order in self._deferred:
+                # registered before any data-pack group, so listed first
+                self._extra[:0] = self._deferred[order](cap=self.cap)
+                del self._deferred[order]
             for G in self._extra:
                 if G.order == order:
                     out.append(G)
@@ -488,10 +496,10 @@ class Catalog:
         if order % 4 == 0 and order >= 8:
             names.append(f"Dic{order // 4}")
         names.append(f"abelian types ({len(abelian_types(order))})")
-        for q in range(4, self.q_max + 1):
+        for q in range(4, PSL2_Q_MAX + 1):
             if prime_power(q) is not None and q % 2 and q * (q * q - 1) == order:
                 names.append(f"PGL(2,{q})")
-        for k in range(2, self.max_alt_degree + 1):
+        for k in range(2, MAX_ALT_DEGREE + 1):
             if factorial(k) == order:
                 names.append(f"S{k}")
         return names
@@ -499,12 +507,16 @@ class Catalog:
 
 def census_catalog(g_max: int, type_=(2, 3, 7), cap=DEFAULT_CAP,
                    data_pack=None) -> Catalog:
-    """Default census catalog, with the order-1344 groups built by the
-    homology pipeline and any data-pack groups as extra candidates."""
+    """Default census catalog, with any data-pack groups as extra candidates.
+
+    For type (2, 3, 7) the homology-built group of order 1344 (genus 17)
+    joins the candidates the first time that order is asked for, so a cap
+    below 1344 surfaces as a `CapExceededError` of that order alone.  Since
+    candidates are built per order on demand, g_max bounds nothing.
+    """
     cat = Catalog(cap=cap)
-    if tuple(type_) == (2, 3, 7) and 84 * (g_max - 1) >= 1344:
-        for G in genus17_groups(cap=cap):
-            cat.add_group(G)
+    if tuple(type_) == (2, 3, 7):
+        cat._deferred[1344] = genus17_groups
     if data_pack:
         for path in sorted(Path(data_pack).glob("*.grp")):
             cat.add_group(load_group(path, cap=cap))
@@ -512,7 +524,12 @@ def census_catalog(g_max: int, type_=(2, 3, 7), cap=DEFAULT_CAP,
 
 
 def genus17_groups(cap=DEFAULT_CAP):
-    """The homology-built order-1344 Hurwitz groups."""
+    """The order-1344 Hurwitz group 2^3.PSL(2,7), as its two homology-built
+    extension quotients.
+
+    The quotients are isomorphic; the census keeps the first, which carries
+    both dessins of the chiral pair of genus 17.
+    """
     from . import homology  # deferred to avoid an import cycle
 
     return [ext.group for ext in homology.klein_extension_groups(cap=cap)]

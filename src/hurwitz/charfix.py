@@ -39,7 +39,6 @@ def fixed_points(G: FinGroup, t: TriangleTriple, h: int) -> int:
     if h == 0:
         raise ValueError("h must be nontrivial; use ramification_point_count")
     total = 0
-    hinv = G.inv(h)
     for s in (t.x, t.y, t.z):
         sub, reps = _cyclic_cosets(G, s)
         for g in reps:

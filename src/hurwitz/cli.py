@@ -230,13 +230,18 @@ def _cmd_congruence(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_homology(args, out) -> int:
-    type_ = _parse_type(args.type)
-    G = _load_group(args.group, args.cap)
+def _first_triple(spec, type_, cap):
+    """The group of a --group spec and the representative of its first dessin class."""
+    G = _load_group(spec, cap)
     classes = dessins.enumerate_triples(G, type_)
     if not classes:
         raise UsageError(f"{G.name} has no generating triple of type {type_}")
-    t = classes[0].representative
+    return G, classes[0].representative
+
+
+def _cmd_homology(args, out) -> int:
+    type_ = _parse_type(args.type)
+    G, t = _first_triple(args.group, type_, args.cap)
     sd = homology.schreier_data(type_, G, t.x, t.y)
     mod = homology.kernel_mod_ell_homology(sd, args.ell)
     report = _base({
@@ -271,11 +276,7 @@ def _cmd_homology(args, out) -> int:
 
 def _cmd_character(args, out) -> int:
     type_ = _parse_type(args.type)
-    G = _load_group(args.group, args.cap)
-    classes = dessins.enumerate_triples(G, type_)
-    if not classes:
-        raise UsageError(f"{G.name} has no generating triple of type {type_}")
-    t = classes[0].representative
+    G, t = _first_triple(args.group, type_, args.cap)
     rep = charfix.character_report(G, t)
     report = _base({
         "group": G.name,

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import CapExceededError, FinGroup, generates, kernel_key
+from .group import (CapExceededError, FinGroup, classify_pairs, generates,
+                    kernel_key)
 from .perms import pmul
 
 
@@ -67,70 +68,51 @@ def passport(t: TriangleTriple) -> tuple:
     return (G.order, tuple(t.type), entry, G.class_of(t.z))
 
 
-def _order_matches(order: int, target: int, mode: str) -> bool:
+def _order_matches(orders, target: int, mode: str):
+    """Does an element order, or each entry of an array of them, match the
+    target: equal to it ("exact") or dividing it ("dividing")?"""
     if mode == "exact":
-        return order == target
+        return orders == target
     if mode == "dividing":
-        return target % order == 0
+        return target % orders == 0
     raise ValueError(f"unknown mode {mode!r} (want 'exact' or 'dividing')")
 
 
 def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
     """All dessin classes of the given type with group G, canonically ordered.
 
-    x runs over conjugacy-class representatives of matching order (results
-    weighted by class size), y over all matching elements; candidates with
-    order(xy) = r are keyed by the canonical Cayley key `kernel_key(G, (x, y))`,
-    which is None for non-generating pairs and equal exactly for pairs with
-    the same kernel.  Each class keeps its first candidate in scan order.
+    `classify_pairs` runs x over conjugacy-class representatives of matching
+    order (results weighted by class size) and y over all matching elements,
+    keeps the candidates with order(xy) matching r, and classifies them by
+    the canonical Cayley key `kernel_key(G, (x, y))`.  Each class keeps its
+    first candidate in scan order.
     """
     p, q, r = type_
-    classes = G.conjugacy_classes()
-    orders = G.element_orders()
-    found = {}  # kernel key -> [rep_triple, weight]
-    ys = [i for i in range(G.order) if _order_matches(orders[i], q, mode)]
+    orders = np.array(G.element_orders())
+    ys = np.flatnonzero(_order_matches(orders, q, mode))
     inv_idx = G.inverse_indices()
-    for cls in classes:
-        xr = cls[0]
-        if not _order_matches(orders[xr], p, mode):
-            continue
-        weight = len(cls)
-        for y, xy in zip(ys, G.products(np.full(len(ys), xr), ys).tolist()):
-            if not _order_matches(orders[xy], r, mode):
-                continue
-            key = kernel_key(G, (xr, y))
-            if key is None:
-                continue
-            rec = found.get(key)
-            if rec is not None:
-                rec[1] += weight
-            else:
-                found[key] = [TriangleTriple(G, xr, y, inv_idx[xy], tuple(type_)),
-                              weight]
+    found = classify_pairs(G, _order_matches(orders, p, mode), ys,
+                           lambda x: G.products(np.full(len(ys), x), ys),
+                           _order_matches(orders, r, mode))
     out = []
-    for t, weight in found.values():
-        g = genus_of(G.order, t.orders())
-        out.append(DessinClass(t, g, passport(t), weight))
+    for (x, y, xy), weight in found:
+        t = TriangleTriple(G, x, y, inv_idx[xy], tuple(type_))
+        out.append(DessinClass(t, genus_of(G.order, t.orders()), passport(t), weight))
     out.sort(key=lambda c: (c.passport, c.representative.x, c.representative.y))
     return out
 
 
 def count_triples_brute(G: FinGroup, type_, mode: str = "exact") -> int:
     """Independent total count of generating triples of the type (all x, all y)."""
-    p, q, r = type_
-    orders = G.element_orders()
+    orders = np.array(G.element_orders())
+    x_ok, y_ok, z_ok = (_order_matches(orders, target, mode) for target in type_)
+    ys = np.flatnonzero(y_ok).tolist()
     total = 0
-    for x in range(G.order):
-        if not _order_matches(orders[x], p, mode):
-            continue
+    for x in np.flatnonzero(x_ok).tolist():
         xperm = G.elements[x]
-        for y in range(G.order):
-            if not _order_matches(orders[y], q, mode):
-                continue
+        for y in ys:
             xy = G.index[pmul(xperm, G.elements[y])]
-            if not _order_matches(orders[xy], r, mode):
-                continue
-            if generates(G, (x, y)):
+            if z_ok[xy] and generates(G, (x, y)):
                 total += 1
     return total
 

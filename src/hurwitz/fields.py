@@ -89,54 +89,15 @@ def poly_mod(a, m, p):
     return _trim(a)
 
 
-def poly_gcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    return a
-
-
-def poly_powmod(base, e, m, p):
-    result = (1,)
-    base = poly_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), m, p)
-        base = poly_mod(poly_mul(base, base, p), m, p)
-        e >>= 1
-    return result
-
-
-def _has_root(coeffs, p):
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return True
-    return False
-
-
 def is_irreducible(coeffs, p) -> bool:
+    """Trial division by every monic polynomial of degree 1 .. f // 2; a
+    reducible polynomial of degree f has a monic factor of degree <= f // 2."""
     coeffs = _trim(coeffs)
     f = len(coeffs) - 1
     if f < 1:
         return False
-    if f == 1:
-        return True
-    if f <= 3:
-        return not _has_root(coeffs, p)
-    # Rabin: x^(p^f) == x mod m, and gcd(x^(p^(f/t)) - x, m) = 1 for primes t | f
-    x = (0, 1)
-    if poly_powmod(x, p ** f, coeffs, p) != poly_mod(x, coeffs, p):
-        return False
-    for t in factorize(f):
-        g = poly_gcd(poly_add(poly_powmod(x, p ** (f // t), coeffs, p),
-                              poly_mul((p - 1,), x, p), p),
-                     coeffs, p)
-        if len(g) > 1:
-            return False
-    return True
+    return all(poly_mod(coeffs, to_digits(code, p, d) + (1,), p)
+               for d in range(1, f // 2 + 1) for code in range(p ** d))
 
 
 def find_irreducible(p: int, f: int):

@@ -388,6 +388,36 @@ def kernel_key(G: FinGroup, gens):
     return key if len(key) == len(gens) * G.order else None
 
 
+def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
+    """Automorphism classes of generating pairs (x, y) filtered by element orders.
+
+    x runs over the conjugacy-class representatives with x_ok[x] (weighted
+    by class size), y over the index array ys.  batch(x) is the index array
+    of one product w per y, and pairs with w_ok[w] are keyed by
+    `kernel_key(G, (x, y))`, which is None for non-generating pairs and
+    equal exactly for pairs related by an automorphism.  x_ok and w_ok are
+    boolean arrays over the elements.  Returns [(x, y, w), weight] per
+    class, each class with its first candidate in scan order.
+    """
+    found = {}  # kernel key -> [(x, y, w), weight]
+    for cls in G.conjugacy_classes():
+        x = cls[0]
+        if not x_ok[x]:
+            continue
+        ws = batch(x)
+        keep = w_ok[ws]
+        for y, w in zip(ys[keep].tolist(), ws[keep].tolist()):
+            key = kernel_key(G, (x, y))
+            if key is None:
+                continue
+            rec = found.get(key)
+            if rec is not None:
+                rec[1] += len(cls)
+            else:
+                found[key] = [(x, y, w), len(cls)]
+    return list(found.values())
+
+
 def pair_isomorphic(G: FinGroup, pair1, pair2, H: FinGroup | None = None) -> bool:
     """Does x1 -> x2, y1 -> y2 extend to an isomorphism G -> H (H defaults to G)?
 

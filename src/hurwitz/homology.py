@@ -488,11 +488,13 @@ def _has_complement(E: FinGroup, G: FinGroup) -> bool:
 # -- the genus-17 pipeline ----------------------------------------------------
 
 def klein_extension_groups(cap=DEFAULT_CAP):
-    """The two order-1344 Hurwitz groups, built from the Klein-quartic kernel.
+    """The order-1344 Hurwitz group 2^3.PSL(2,7), built from the Klein-quartic kernel.
 
     Takes the dessin class of PSL(2,7), computes the kernel's mod-2
     homology (dimension 6), finds its two invariant 3-dimensional
-    subspaces, and forms the corresponding extension quotients.
+    subspaces, and forms the corresponding extension quotients.  The two
+    quotients are isomorphic: one non-split group, carrying a chiral pair
+    of dessins of genus 17.
     """
     from . import catalog, dessins
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .fields import is_prime
-from .group import FinGroup, kernel_key
+from .group import FinGroup, classify_pairs
 
 
 @dataclass(frozen=True)
@@ -50,38 +50,31 @@ def origami_genus(order: int) -> int:
 def enumerate_origami_pairs(G: FinGroup):
     """Automorphism classes of generating pairs with commutator of order 2.
 
-    a runs over conjugacy-class representatives (weighted by class size),
-    b over all elements; pairs are keyed by the canonical Cayley key
-    `kernel_key(G, (a, b))`, which is None for non-generating pairs and equal
-    exactly for pairs related by an automorphism.  Each class keeps its first
-    candidate in scan order.
+    `classify_pairs` runs a over conjugacy-class representatives (weighted
+    by class size) and b over all elements, keeps the pairs whose commutator
+    has order 2, and classifies them by the canonical Cayley key
+    `kernel_key(G, (a, b))`.  Each class keeps its first candidate in scan
+    order.  Every commutator lies in the derived subgroup, so a group whose
+    derived subgroup has no involution is not scanned.
     """
     if G.order % 4 != 0:
         return []
-    classes = G.conjugacy_classes()
-    orders = G.element_orders()
-    found = {}  # kernel key -> [OrigamiPair, weight]
+    orders = np.array(G.element_orders())
+    if not (orders[G.commutator_subgroup()] == 2).any():
+        return []
     bs = np.arange(G.order)
     b_inverses = np.array(G.inverse_indices())
-    for cls in classes:
-        ar = cls[0]
-        weight = len(cls)
+
+    def commutators(a):
         # [a, b] = (a^-1 b^-1)(a b) for every b at once
-        left = G.products(np.full(G.order, G.inv(ar)), b_inverses)
-        commutators = G.products(left, G.products(np.full(G.order, ar), bs))
-        for b, c in enumerate(commutators.tolist()):
-            if orders[c] != 2:
-                continue
-            key = kernel_key(G, (ar, b))
-            if key is None:
-                continue
-            rec = found.get(key)
-            if rec is not None:
-                rec[1] += weight
-            else:
-                found[key] = [OrigamiPair(G, ar, b), weight]
+        left = G.products(np.full(G.order, G.inv(a)), b_inverses)
+        return G.products(left, G.products(np.full(G.order, a), bs))
+
     g = origami_genus(G.order)
-    out = [OrigamiClass(pair, g, weight) for pair, weight in found.values()]
+    found = classify_pairs(G, np.ones(G.order, dtype=bool), bs, commutators,
+                           orders == 2)
+    out = [OrigamiClass(OrigamiPair(G, a, b), g, weight)
+           for (a, b, _), weight in found]
     out.sort(key=lambda c: (c.representative.a, c.representative.b))
     return out
 

@@ -66,10 +66,18 @@ def test_bad_values_exit_one(args, capsys):
     assert captured.err.startswith("usage error: ")
 
 
-def test_census_cap_lists_unchecked_order(capsys):
-    code, out = run_main(["census", "--max-genus", "3", "--cap", "100"], capsys)
+@pytest.mark.parametrize("args,unchecked,counts", [
+    (["--max-genus", "3", "--cap", "100"], [168], {}),
+    # the order-1344 group is built only when genus 17 asks for it
+    (["--max-genus", "17", "--cap", "1000"], [1092, 1344], {"3": 1, "7": 1}),
+], ids=["census --max-genus 3 --cap 100", "census --max-genus 17 --cap 1000"])
+def test_census_cap_lists_unchecked_order(args, unchecked, counts, capsys):
+    code, out = run_main(["census", *args], capsys)
     assert code == 0
-    assert 168 in json.loads(out)["unchecked_orders"]
+    report = json.loads(out)
+    assert report["unchecked_orders"] == unchecked
+    for genus, count in counts.items():
+        assert report["counts"][genus] == count
 
 
 def test_cap_exceeded_exit_two(capsys):

@@ -38,9 +38,12 @@ def test_reducible_detected():
     assert not is_irreducible((1, 0, 1), 2)
     # x^3 - x has roots over any prime field
     assert not is_irreducible((0, -1 % 5, 0, 1), 5)
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F2 has no root
+    assert not is_irreducible((1, 0, 1, 0, 1), 2)
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 3), (3, 3), (13, 1)])
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 3), (3, 3), (13, 1),
+                                 (2, 4), (2, 5), (3, 4)])
 def test_field_axioms_exhaustive(p, f):
     F = Fq(p, f)
     q = F.q

@@ -40,7 +40,10 @@ def test_sl23_has_none():
 
 def test_class_sizes_sum_to_brute_count():
     from hurwitz.group import generates
-    for G in (catalog.dicyclic(2), catalog.dihedral(4), catalog.metacyclic(8, 5)):
+    # the last three have derived subgroups C3, C3 and 1: no involution, so
+    # the scan is skipped and the brute count must be 0
+    for G in (catalog.dicyclic(2), catalog.dihedral(4), catalog.metacyclic(8, 5),
+              catalog.dihedral(6), catalog.dicyclic(3), catalog.abelian([2, 2, 2])):
         classes = enumerate_origami_pairs(G)
         brute = 0
         for a in range(G.order):
