@@ -8,6 +8,7 @@ the table-based approach honest; everything in scope fits well below it.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -243,12 +244,12 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
     e = identity(degree)
     elements = [e]
     index = {e: 0}
-    pos = 0
-    while pos < len(elements):
-        u = elements[pos]
-        pos += 1
-        for s in gens:
-            v = pmul(u, s)
+    # u * s = (u[s[0]], u[s[1]], ...): one C-level gather per product.  A
+    # group of degree 0 or 1 is trivial, and itemgetter needs two points.
+    steps = [itemgetter(*s) for s in gens] if degree > 1 else []
+    for u in elements:
+        for step in steps:
+            v = step(u)
             if v not in index:
                 if len(elements) >= cap:
                     raise CapExceededError(

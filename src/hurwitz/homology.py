@@ -19,7 +19,7 @@ import numpy as np
 
 from .group import (DEFAULT_CAP, FinGroup, cayley_labels, generates,
                     group_from_generators, kernel_key)
-from .fields import from_digits, is_prime, to_digits
+from .fields import is_prime
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
 X, Y = 0, 1
@@ -141,12 +141,15 @@ def rref_mod(A, ell):
     return R[:r], pivots
 
 
-def _reduce_vector(vec, R, pivots, ell):
-    v = np.array(vec, dtype=np.int64) % ell
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * R[i]) % ell
-    return v
+def _quotient_coords(vec, R, pivots, free, ell):
+    """Coordinates of vec (or of each row of vec) modulo the row space of
+    the RREF R, read in its free (non-pivot) columns, mod ell.
+
+    R is zero in every pivot column but its own, so reducing by its rows in
+    turn subtracts each row times vec's own entry in that row's pivot column.
+    """
+    v = np.asarray(vec, dtype=np.int64)
+    return (v[..., free] - v[..., pivots] @ R[:, free]) % ell
 
 
 @dataclass
@@ -167,8 +170,8 @@ class GModule:
     _rho: dict = field(repr=False, default=None)
 
     def project(self, vec):
-        v = _reduce_vector(vec, self._rref, self._pivots, self.ell)
-        return v[self._free]
+        return _quotient_coords(vec, self._rref, self._pivots, self._free,
+                                self.ell)
 
     def action_of(self, g: int):
         """Action matrix of an arbitrary element of G, via its tree word."""
@@ -281,21 +284,20 @@ class ScanInfeasibleError(RuntimeError):
 
 
 def _rref_subspaces(n, d, ell):
-    """All d-dimensional subspaces of F_ell^n, one RREF basis each."""
+    """All d-dimensional subspaces of F_ell^n, one RREF basis each, with its pivots."""
     from itertools import combinations, product
     for pivots in combinations(range(n), d):
-        free_positions = []
-        for i, p in enumerate(pivots):
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    free_positions.append((i, c))
-        for values in product(range(ell), repeat=len(free_positions)):
-            B = np.zeros((d, n), dtype=np.int64)
-            for i, p in enumerate(pivots):
-                B[i, p] = 1
-            for (i, c), v in zip(free_positions, values):
-                B[i, c] = v
-            yield B
+        pivots = list(pivots)
+        free = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, n) if c not in pivots]
+        rows = [i for i, _ in free]
+        cols = [c for _, c in free]
+        echelon = np.zeros((d, n), dtype=np.int64)
+        echelon[range(d), pivots] = 1
+        for values in product(range(ell), repeat=len(free)):
+            B = echelon.copy()
+            B[rows, cols] = values
+            yield B, pivots
 
 
 def _count_subspaces(n, d, ell):
@@ -318,19 +320,14 @@ def invariant_submodules(mod: GModule, d: int):
         raise ScanInfeasibleError(
             f"subspace scan infeasible: {total} candidate subspaces "
             f"(limit {SUBSPACE_SCAN_LIMIT})")
+    # B is its own RREF, so a row lies in its span exactly when it equals
+    # its entries in the pivot columns times B
+    ell = mod.ell
+    actions = np.hstack([A.T for A in mod.action])
     out = []
-    for B in _rref_subspaces(n, d, mod.ell):
-        R, pivots = rref_mod(B, mod.ell)
-        ok = True
-        for A in mod.action:
-            img = (B @ A.T) % mod.ell
-            for row in img:
-                if _reduce_vector(row, R, pivots, mod.ell).any():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for B, pivots in _rref_subspaces(n, d, ell):
+        img = (B @ actions % ell).reshape(d * len(mod.action), n)
+        if (img == img[:, pivots] @ B % ell).all():
             out.append(B)
     return out
 
@@ -361,9 +358,10 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     Elements are pairs (v, g) with v in M/U; multiplication is twisted by
     the 2-cocycle c(g, h) = image of sigma(g) sigma(h) sigma(gh)^-1.  The
     group is realized through the left-regular action on the |M/U| * |G|
-    pairs (so index multiplication matches the extension product and the
-    projection to G is a homomorphism); the cocycle identity is verified
-    on sampled triples.
+    pairs, the pair (v, g) being the point from_digits(v) * |G| + g (so
+    index multiplication matches the extension product and the projection
+    to G is a homomorphism); the cocycle identity is verified on sampled
+    triples.
     """
     sd = mod.schreier
     G = sd.group
@@ -374,15 +372,12 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     qdim = len(freeU)
 
     def to_quotient(coords):
-        return tuple(int(x) for x in
-                     _reduce_vector(coords, RU, pivotsU, ell)[freeU])
+        """Coordinates in M/U of coords (or of each row of coords)."""
+        return _quotient_coords(coords, RU, pivotsU, freeU, ell)
 
-    # quotient-module action matrices for every element of G
-    rho_q = []
-    for g in range(G.order):
-        A = mod.action_of(g)
-        cols = [to_quotient(A[:, freeU[j]]) for j in range(qdim)]
-        rho_q.append(tuple(cols))
+    def rho_q(g):
+        """The action of g on M/U, as a qdim x qdim matrix."""
+        return to_quotient(mod.action_of(g)[:, freeU].T).T
 
     def coc(g, h):
         """c(g, h): the image of sigma(g) sigma(h) sigma(gh)^-1 in M/U."""
@@ -400,20 +395,18 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
             raise CocycleError("generator lift word did not close")
         return to_quotient(mod.project(vec))
 
-    npoints = (ell ** qdim) * G.order
+    n = G.order
+    powers = ell ** np.arange(qdim, dtype=np.int64)
+    digits = np.arange(ell ** qdim)[:, None] // powers % ell  # v of each code
 
-    def left_gen_perm(w, s_img):
-        # s = (w, s_img) acting by left multiplication:
-        # s * (v, g) = (w + rho(s) v + c(s, g), s_img * g)
-        c_row = [coc(s_img, g) for g in range(G.order)]
-        images = []
-        for point in range(npoints):
-            vc, g = divmod(point, G.order)
-            sv = _apply(rho_q[s_img], to_digits(vc, ell, qdim), ell)
-            c = c_row[g]
-            v2 = [(w[i] + sv[i] + c[i]) % ell for i in range(qdim)]
-            images.append(from_digits(v2, ell) * G.order + G.mul(s_img, g))
-        return tuple(images)
+    def left_gen_perm(w, s):
+        # (w, s) acting by left multiplication:
+        # (w, s) * (v, g) = (w + rho(s) v + c(s, g), s * g)
+        c_row = np.array([coc(s, g) for g in range(n)],
+                         dtype=np.int64).reshape(n, qdim)
+        v2 = (w + digits @ rho_q(s).T)[:, None, :] + c_row
+        images = (v2 % ell) @ powers * n + [G.mul(s, g) for g in range(n)]
+        return tuple(images.ravel().tolist())
 
     gx, gy = sd.gen_images
     perm_x = left_gen_perm(gen_value(X, gx), gx)
@@ -438,23 +431,24 @@ def _verify_cocycle(G, coc, rho_q, ell, samples=40):
             for k in picks:
                 if count >= samples:
                     return
-                lhs = [(a + b) % ell for a, b in zip(coc(g, h), coc(G.mul(g, h), k))]
-                gc = _apply(rho_q[g], coc(h, k), ell)
-                rhs = [(a + b) % ell for a, b in zip(gc, coc(g, G.mul(h, k)))]
-                if lhs != rhs:
+                lhs = coc(g, h) + coc(G.mul(g, h), k)
+                rhs = rho_q(g) @ coc(h, k) + coc(g, G.mul(h, k))
+                if ((lhs - rhs) % ell).any():
                     raise CocycleError("2-cocycle identity violated")
                 count += 1
 
 
-def _apply(mat_cols, v, ell):
-    """The matrix with columns mat_cols times the vector v, mod ell."""
-    n = len(v)
-    out = [0] * n
-    for j, col in enumerate(mat_cols):
-        if v[j]:
-            for i in range(n):
-                out[i] = (out[i] + v[j] * col[i]) % ell
-    return out
+class _RightMultiplication:
+    """Lazy right-multiplication table of E by element a: [u] is u * a."""
+
+    def __init__(self, E: FinGroup, a: int):
+        self._mul, self._a, self._n = E.mul, a, E.order
+
+    def __getitem__(self, u: int) -> int:
+        return self._mul(u, self._a)
+
+    def __len__(self) -> int:
+        return self._n
 
 
 def _has_complement(E: FinGroup, G: FinGroup) -> bool:
@@ -464,8 +458,9 @@ def _has_complement(E: FinGroup, G: FinGroup) -> bool:
     images (gx, gy) satisfy gx -> ax, gy -> ay extending to an isomorphism
     G -> <ax, ay>, i.e. iff the Cayley labels of (ax, ay) in E equal the
     canonical Cayley key of (gx, gy) in G.  Each lift pair is compared
-    lazily and dropped at its first mismatching label.  The lifts' tables
-    come from the scalar `mul`, so E never builds an element array.
+    lazily and dropped at its first mismatching label; the labels read
+    products one at a time through the scalar `mul`, so E builds neither
+    a right-multiplication table nor an element array.
     """
     base = G.order
     # Point 0 of the extension is (0, identity), so e.elements[i][0] encodes
@@ -473,9 +468,9 @@ def _has_complement(E: FinGroup, G: FinGroup) -> bool:
     gx = E.generators[0][0] % base
     gy = E.generators[1][0] % base
     key = kernel_key(G, (gx, gy))
-    lifts_x = [E.right_mult_table(i) for i in range(E.order)
+    lifts_x = [_RightMultiplication(E, i) for i in range(E.order)
                if E.elements[i][0] % base == gx]
-    lifts_y = [E.right_mult_table(i) for i in range(E.order)
+    lifts_y = [_RightMultiplication(E, i) for i in range(E.order)
                if E.elements[i][0] % base == gy]
     for ax in lifts_x:
         for ay in lifts_y:

@@ -12,7 +12,13 @@ def identity(n: int) -> Perm:
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
-    """Product a*b, acting as b first in the image convention (a*b)[i] = a[b[i]]."""
+    """Product a*b, acting as b first in the image convention (a*b)[i] = a[b[i]].
+
+    Kept only for the oracles `FinGroup.centralizer_size` and
+    `dessins.count_triples_brute`; the library multiplies by index
+    (`FinGroup.mul`, `FinGroup.products`) and closes groups with
+    `operator.itemgetter` gathers.
+    """
     return tuple(map(a.__getitem__, b))
 
 

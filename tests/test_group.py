@@ -174,6 +174,50 @@ def test_batch_paths_match_scalar_oracles(build):
     assert G.inverse_indices() == [G.index[pinv(e)] for e in G.elements]
 
 
+def _pmul_closure(gens):
+    """Oracle for group_from_generators: the BFS with one `pmul` per edge."""
+    e = tuple(range(len(gens[0])))
+    elements, index = [e], {e: 0}
+    for u in elements:
+        for s in gens:
+            v = pmul(u, s)
+            if v not in index:
+                index[v] = len(elements)
+                elements.append(v)
+    return elements, index
+
+
+def _relabelled_psl27():
+    rng = random.Random(7)
+    G = catalog.psl2(7)
+    sigma = list(range(G.degree))
+    rng.shuffle(sigma)
+    inverse = pinv(tuple(sigma))
+    return [pmul(pmul(inverse, g), tuple(sigma)) for g in G.generators]
+
+
+# generator lists of degree 0 and 1 (trivial groups with no gather step),
+# small, projective-line and relabelled actions, and the regular degree-1344
+# action of the genus-17 extension group
+CLOSURE_CASES = {
+    "degree 0": lambda: [()],
+    "degree 1": lambda: [(0,)],
+    "S3": lambda: [(1, 0, 2), (1, 2, 0)],
+    "PSL(2,8)": lambda: catalog.psl2(8).generators,
+    "PSL(2,7) relabelled": _relabelled_psl27,
+    "2^3.PSL(2,7)#1": lambda: homology.klein_extension_groups()[0].group.generators,
+}
+
+
+@pytest.mark.parametrize("gens", CLOSURE_CASES.values(), ids=CLOSURE_CASES.keys())
+def test_closure_matches_pmul_bfs(gens):
+    gens = gens()
+    G = group_from_generators(gens)
+    elements, index = _pmul_closure(gens)
+    assert G.elements == elements
+    assert G.index == index
+
+
 def test_perm_helpers():
     a = (1, 2, 0)
     assert porder(a) == 3
