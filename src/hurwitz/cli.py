@@ -240,6 +240,8 @@ def _first_triple(spec, type_, cap):
 
 
 def _cmd_homology(args, out) -> int:
+    if args.extensions and args.invariant_dim is None:
+        raise UsageError("--extensions needs --invariant-dim")
     type_ = _parse_type(args.type)
     G, t = _first_triple(args.group, type_, args.cap)
     sd = homology.schreier_data(type_, G, t.x, t.y)

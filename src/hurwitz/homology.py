@@ -3,15 +3,16 @@
 Given the presentation <x, y | x^p, y^q, (xy)^r> and an epimorphism onto a
 finite group G, the kernel's coset space is G itself (the regular action),
 so no coset enumeration is needed.  A BFS spanning tree of the Cayley
-graph yields Schreier generators; imposing all rewritten relator
-conjugates as linear relations mod ell gives the kernel's mod-ell homology
-as a G-module.  Invariant submodules then produce extension quotients via
-an explicit 2-cocycle, which is how the genus-17 Hurwitz groups are built
-from the Klein-quartic kernel.
+graph yields Schreier generators; each relator, rewritten once per relator
+cycle, gives a sparse relation mod ell, and their sparse RREF leaves the
+kernel's mod-ell homology as a G-module.  Invariant submodules then produce
+extension quotients via an explicit 2-cocycle, which is how the genus-17
+Hurwitz groups are built from the Klein-quartic kernel.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
@@ -116,61 +117,79 @@ def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
 
 # -- linear algebra over F_ell ------------------------------------------------
 
-def rref_mod(A, ell):
-    """Reduced row echelon form mod ell; returns (R, pivot columns)."""
-    R = np.array(A, dtype=np.int64) % ell
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + nz[0]
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        R[r] = (R[r] * pow(int(R[r, c]), ell - 2, ell)) % ell
-        other = np.nonzero(R[:, c])[0]
-        for i in other:
-            if i != r:
-                R[i] = (R[i] - R[i, c] * R[r]) % ell
-        pivots.append(c)
-        r += 1
-    return R[:r], pivots
+def rref_mod(A, ell, ncols=None):
+    """Reduced row echelon form mod ell; returns (R, pivot columns).
+
+    A is a matrix, or, given ncols, a list of sparse rows {column: value},
+    and R comes back in the same form.  Sparse Gauss-Jordan: in column order,
+    the sparsest unused row using the column is the pivot, and an index from
+    each column to the rows using it finds the other rows to clear.
+    """
+    dense = ncols is None
+    if dense:
+        ncols = np.shape(A)[1]
+        A = [dict(enumerate(r)) for r in np.asarray(A, dtype=np.int64).tolist()]
+    rows = [{c: v % ell for c, v in r.items() if v % ell} for r in A]
+    using = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            using[c].add(i)
+    used = {}  # pivot row -> its column, in pivot order
+    for c in range(ncols):
+        cand = [i for i in using[c] if i not in used]
+        if cand:
+            p = min(cand, key=lambda i: (len(rows[i]), i))
+            inv = pow(rows[p][c], -1, ell)
+            prow = rows[p] = {k: v * inv % ell for k, v in rows[p].items()}
+            for i in using[c] - {p}:
+                row, f = rows[i], rows[i][c]
+                for k, v in prow.items():
+                    if a := (row.get(k, 0) - f * v) % ell:
+                        row[k] = a
+                        using[k].add(i)
+                    else:
+                        del row[k]
+                        using[k].discard(i)
+            used[p] = c
+    R = [rows[p] for p in used]
+    if dense:
+        R = np.array([[row.get(c, 0) for c in range(ncols)] for row in R],
+                     dtype=np.int64).reshape(len(R), ncols)
+    return R, list(used.values())
 
 
-def _quotient_coords(vec, R, pivots, free, ell):
+def _quotient_coords(vec, block, pivots, free, ell):
     """Coordinates of vec (or of each row of vec) modulo the row space of
-    the RREF R, read in its free (non-pivot) columns, mod ell.
+    the RREF R, read in its free columns mod ell; block is R[:, free].
 
     R is zero in every pivot column but its own, so reducing by its rows in
-    turn subtracts each row times vec's own entry in that row's pivot column.
+    turn subtracts each row times vec's entry in its pivot column (if not 0).
     """
     v = np.asarray(vec, dtype=np.int64)
-    return (v[..., free] - v[..., pivots] @ R[:, free]) % ell
+    vp = v[..., pivots]
+    used = np.flatnonzero(vp.any(axis=tuple(range(vp.ndim - 1))))
+    return (v[..., free] - vp[..., used] @ block[used]) % ell
 
 
 @dataclass
 class GModule:
     """Mod-ell homology of the kernel, as matrices acting for each generator.
 
-    Coordinates are the non-pivot Schreier columns of the relation matrix's
-    RREF; `project` maps a raw Schreier vector to these coordinates.
+    Coordinates are the free Schreier columns of the relations' RREF R;
+    `project` maps a raw Schreier vector to them by the cached R[:, free].
     """
     ell: int
     dim: int
     action: list            # matrices (dim x dim) for the images of x, y
     schreier: SchreierData
     basis_labels: list      # Schreier (coset, gen) labels of the free columns
-    _rref: np.ndarray = field(repr=False, default=None)
-    _pivots: list = field(repr=False, default=None)
-    _free: list = field(repr=False, default=None)
+    _block: np.ndarray = field(repr=False, default=None)
+    _pivots: np.ndarray = field(repr=False, default=None)
+    _free: np.ndarray = field(repr=False, default=None)
     _rho: dict = field(repr=False, default=None)
 
     def project(self, vec):
-        return _quotient_coords(vec, self._rref, self._pivots, self._free,
+        return _quotient_coords(vec, self._block, self._pivots, self._free,
                                 self.ell)
 
     def action_of(self, g: int):
@@ -186,39 +205,43 @@ class GModule:
         return self.dim - len(pivots)
 
 
-def _conjugated_generator_image(sd: SchreierData, conj_word, col, ell):
-    word = conj_word + sd.schreier_word(col) + _word_inverse(conj_word)
-    vec, end = sd.rewrite(word)
-    if end != 0:
-        raise RuntimeError("conjugated Schreier generator did not close")  # bug guard
-    return vec
+def cycle_relations(sd: SchreierData):
+    """Yield the relations as Counter rows, one per relator cycle: a relator
+    w^k rewritten from u and from u*w gives the same row, so each cycle of
+    right multiplication by w (x, y or xy) is rewritten from one coset only."""
+    for rel, k in zip(sd.relator_words(), sd.type):
+        seen = bytearray(sd.group.order)
+        for u in range(sd.group.order):
+            if not seen[u]:
+                vec, end = Counter(), u
+                for _ in range(k):
+                    seen[end] = 1
+                    vec, end = sd.rewrite(rel[:len(rel) // k], end, vec)
+                if end != u:
+                    raise RuntimeError("relator trace did not return to its coset")
+                yield vec
 
 
 def kernel_mod_ell_homology(sd: SchreierData, ell: int) -> GModule:
     """H_1 of the kernel with F_ell coefficients, as a G-module."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    n = sd.group.order
     ncols = sd.num_schreier
-    relators = sd.relator_words()
-    rows = np.zeros((n * len(relators), ncols), dtype=np.int64)
-    k = 0
-    for u in range(n):
-        for rel in relators:
-            vec, end = sd.rewrite(rel, start=u, vec=rows[k])
-            if end != u:
-                raise RuntimeError("relator trace did not return to its coset")
-            k += 1
-    R, pivots = rref_mod(rows, ell)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    dim = len(free)
-    mod = GModule(ell, dim, [], sd, [sd.columns[c] for c in free],
-                  _rref=R, _pivots=pivots, _free=free)
-    for g_img, gen in zip(sd.gen_images, (X, Y)):
-        conj_word = sd.tree_word[g_img]
+    R, pivots = rref_mod(cycle_relations(sd), ell, ncols)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    block = np.zeros((len(R), len(free)), dtype=np.int64)
+    for i, (row, c) in enumerate(zip(R, pivots)):
+        del row[c]  # R is 1 at its own pivot, 0 at the others
+        block[i, np.searchsorted(free, list(row))] = list(row.values())
+    mod = GModule(ell, len(free), [], sd, [sd.columns[c] for c in free],
+                  _block=block, _pivots=np.array(pivots, dtype=int), _free=free)
+    for g_img in sd.gen_images:
+        conj = sd.tree_word[g_img]
         cols = []
         for c in free:
-            vec = _conjugated_generator_image(sd, conj_word, c, ell)
+            vec, end = sd.rewrite(conj + sd.schreier_word(c) + _word_inverse(conj))
+            if end != 0:
+                raise RuntimeError("conjugated Schreier generator did not close")
             cols.append(mod.project(vec))
         mod.action.append(np.array(cols, dtype=np.int64).T % ell)
     _check_relations(mod)
@@ -266,8 +289,7 @@ def _propagate_actions(mod: GModule):
 
 def _matinv(A, ell):
     d = len(A)
-    aug = np.hstack([np.array(A, dtype=np.int64) % ell,
-                     np.eye(d, dtype=np.int64)])
+    aug = np.hstack([A, np.eye(d, dtype=np.int64)])
     R, pivots = rref_mod(aug, ell)
     if pivots[:d] != list(range(d)):
         raise RuntimeError("matrix not invertible mod ell")
@@ -366,14 +388,14 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     sd = mod.schreier
     G = sd.group
     ell = mod.ell
-    RU, pivotsU = rref_mod(U, ell) if len(U) else (np.zeros((0, mod.dim),
-                                                            dtype=np.int64), [])
-    freeU = [c for c in range(mod.dim) if c not in set(pivotsU)]
+    RU, pivotsU = rref_mod(np.reshape(U, (len(U), mod.dim)), ell)
+    freeU = np.setdiff1d(np.arange(mod.dim), pivotsU)
     qdim = len(freeU)
+    blockU = RU[:, freeU]
 
     def to_quotient(coords):
         """Coordinates in M/U of coords (or of each row of coords)."""
-        return _quotient_coords(coords, RU, pivotsU, freeU, ell)
+        return _quotient_coords(coords, blockU, pivotsU, freeU, ell)
 
     def rho_q(g):
         """The action of g on M/U, as a qdim x qdim matrix."""

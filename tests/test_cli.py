@@ -52,6 +52,7 @@ def test_usage_errors_exit_one(capsys):
 @pytest.mark.parametrize("args", [
     ["homology", "--group", "psl2:7", "--ell", "6"],
     ["homology", "--group", "psl2:7", "--ell", "2", "--invariant-dim", "9"],
+    ["homology", "--group", "psl2:7", "--ell", "2", "--extensions"],
     ["origami", "--genus", "1"],
     ["character", "--group", "alt:5", "--type", "2,3,5"],
     ["census", "--max-genus", "-5"],

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import catalog, dessins, homology
 from hurwitz.fields import from_digits, to_digits
@@ -27,6 +28,106 @@ def test_rref_mod():
     R, pivots = rref_mod(A, 5)
     assert list(pivots) == [0, 1]
     assert R.shape[0] == 2
+
+
+def _dense_rref(A, ell):
+    """Oracle: the dense column-by-column RREF mod ell, one numpy row
+    operation per row that holds the pivot column."""
+    R = np.array(A, dtype=np.int64) % ell
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + nz[0]
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        R[r] = (R[r] * pow(int(R[r, c]), ell - 2, ell)) % ell
+        other = np.nonzero(R[:, c])[0]
+        for i in other:
+            if i != r:
+                R[i] = (R[i] - R[i, c] * R[r]) % ell
+        pivots.append(c)
+        r += 1
+    return R[:r], pivots
+
+
+def _sparse_rows(R):
+    return [{c: v for c, v in enumerate(row) if v} for row in np.asarray(R).tolist()]
+
+
+@st.composite
+def _matrices_mod_ell(draw):
+    """(A, ell), wide or tall, with zero rows and repeated (scaled) rows mixed in."""
+    ell = draw(st.sampled_from([2, 3, 5, 7, 13]))
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entries = st.lists(st.integers(-2 * ell, 2 * ell), min_size=n, max_size=n)
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            k = draw(st.integers(1, ell))
+            rows.append([k * a for a in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(entries))
+    return np.array(rows, dtype=np.int64).reshape(m, n), ell
+
+
+@given(_matrices_mod_ell())
+@example((np.zeros((0, 0), dtype=np.int64), 2))
+@example((np.zeros((0, 5), dtype=np.int64), 3))
+@example((np.zeros((4, 0), dtype=np.int64), 5))
+@example((np.zeros((3, 6), dtype=np.int64), 7))
+@example((np.zeros((6, 3), dtype=np.int64), 13))
+@settings(max_examples=300, deadline=None)
+def test_rref_mod_matches_dense_oracle(case):
+    A, ell = case
+    R, pivots = rref_mod(A, ell)
+    R_oracle, pivots_oracle = _dense_rref(A, ell)
+    assert pivots == pivots_oracle
+    assert R.dtype == np.int64 and R.shape == R_oracle.shape
+    assert (R == R_oracle).all()
+    # sparse rows in, sparse rows out
+    sparse = [{c: int(v) for c, v in enumerate(row) if v} for row in A]
+    R_sparse, pivots_sparse = rref_mod(sparse, ell, A.shape[1])
+    assert pivots_sparse == pivots and R_sparse == _sparse_rows(R)
+
+
+def _psl2_schreier(q):
+    G = catalog.psl2(q)
+    t = dessins.enumerate_triples(G, (2, 3, 7))[0].representative
+    return G, schreier_data((2, 3, 7), G, t.x, t.y)
+
+
+@pytest.mark.parametrize("q,genus", [(7, 3), (8, 7), (13, 14)])
+def test_dim_is_twice_the_genus(q, genus):
+    """Riemann-Hurwitz: the kernel is the fundamental group of a closed
+    surface of genus g, so its homology mod any ell has dimension 2g."""
+    G, sd = _psl2_schreier(q)
+    assert dessins.genus_of(G.order, (2, 3, 7)) == genus
+    assert [kernel_mod_ell_homology(sd, ell).dim for ell in (2, 3, 7)] == [2 * genus] * 3
+
+
+def test_cycle_relations_have_the_rref_of_all_rewritten_rows():
+    """One relation per relator cycle spans the same space as the 3|G| rows
+    of every relator rewritten from every coset."""
+    G, sd = _psl2_schreier(8)
+    full = np.array([sd.rewrite(rel, start=u)[0]
+                     for u in range(G.order) for rel in sd.relator_words()])
+    assert full.shape == (3 * G.order, sd.num_schreier)
+    rows = list(homology.cycle_relations(sd))
+    assert len(rows) == G.order * 41 // 42  # |G| (1/2 + 1/3 + 1/7)
+    for ell in (2, 7):
+        R, pivots = rref_mod(rows, ell, sd.num_schreier)
+        R_full, pivots_full = _dense_rref(full, ell)
+        assert pivots == pivots_full
+        assert R == _sparse_rows(R_full)
 
 
 def test_schreier_generator_count(klein):
