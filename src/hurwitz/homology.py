@@ -175,8 +175,8 @@ def _quotient_coords(vec, block, pivots, free, ell):
 class GModule:
     """Mod-ell homology of the kernel, as matrices acting for each generator.
 
-    Coordinates are the free Schreier columns of the relations' RREF R;
-    `project` maps a raw Schreier vector to them by the cached R[:, free].
+    Coordinates are the free columns of the sparse RREF R of the relations,
+    one per relator cycle; `project` maps to them by the cached R[:, free].
     """
     ell: int
     dim: int
