@@ -202,9 +202,8 @@ class FinGroup:
         return True
 
     def right_mult_table(self, i: int):
-        """Array m with m[u] = index of u * elements[i]."""
-        mul = self.mul
-        return [mul(u, i) for u in range(self.order)]
+        """List m with m[u] = index of u * elements[i], from one `products` batch."""
+        return self.products(np.arange(self.order), np.full(self.order, i)).tolist()
 
 
 def _base(elements):
@@ -261,26 +260,29 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
 
 
 def conjugacy_classes(G: FinGroup):
-    """Brute-force classes as orbits under conjugation by the generators."""
+    """Classes as orbits under conjugation by the generators, canonically sorted.
+
+    Two `products` batches give the table of g^-1 * u * g per generator g.
+    """
     n = G.order
+    rows = np.arange(n)
+    tables = []
+    for g in (G.index[s] for s in G.generators):
+        left = G.products(np.full(n, G.inv(g)), rows)
+        tables.append(G.products(left, np.full(n, g)).tolist())
     assigned = [False] * n
-    gen_idx = [G.index[g] for g in G.generators]
-    gen_inv = [G.inv(g) for g in gen_idx]
     classes = []
     for start in range(n):
         if assigned[start]:
             continue
-        orbit = [start]
         assigned[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for gi, gii in zip(gen_idx, gen_inv):
-                c = G.mul(G.mul(gii, i), gi)
+        orbit = [start]
+        for i in orbit:
+            for table in tables:
+                c = table[i]
                 if not assigned[c]:
                     assigned[c] = True
                     orbit.append(c)
-                    queue.append(c)
         classes.append(sorted(orbit))
     orders = G.element_orders()
     classes.sort(key=lambda cls: (orders[cls[0]], len(cls),
@@ -392,14 +394,22 @@ def kernel_key(G: FinGroup, gens):
 def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
     """Automorphism classes of generating pairs (x, y) filtered by element orders.
 
-    x runs over the conjugacy-class representatives with x_ok[x] (weighted
-    by class size), y over the index array ys.  batch(x) is the index array
-    of one product w per y, and pairs with w_ok[w] are keyed by
-    `kernel_key(G, (x, y))`, which is None for non-generating pairs and
-    equal exactly for pairs related by an automorphism.  x_ok and w_ok are
-    boolean arrays over the elements.  Returns [(x, y, w), weight] per
-    class, each class with its first candidate in scan order.
+    x runs over the conjugacy-class representatives with x_ok[x], y over the
+    index array ys.  batch(x) is the index array of one product w per y, and
+    the pairs with w_ok[w] are the candidates of x.  x_ok and w_ok are
+    boolean arrays over the elements; they and the set ys must be class
+    functions, and batch(x) C_G(x)-equivariant (y^c gets w^c), so the
+    candidates of x are a union of C_G(x)-orbits under conjugation (a
+    ValueError says when they are not).  Conjugation by C_G(x) fixes x, so
+    only the first candidate of each orbit is keyed by `kernel_key(G, (x,
+    y))`, which is None for non-generating pairs and equal exactly for pairs
+    related by an automorphism, and it adds len(cls) * |orbit| to its key's
+    weight.  Returns [(x, y, w), weight] per key, each with its first
+    candidate in scan order, which is the first of that candidate's orbit.
     """
+    n = G.order
+    rows = np.arange(n)
+    inverses = np.array(G.inverse_indices())
     found = {}  # kernel key -> [(x, y, w), weight]
     for cls in G.conjugacy_classes():
         x = cls[0]
@@ -407,15 +417,35 @@ def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
             continue
         ws = batch(x)
         keep = w_ok[ws]
-        for y, w in zip(ys[keep].tolist(), ws[keep].tolist()):
-            key = kernel_key(G, (x, y))
-            if key is None:
+        if not keep.any():
+            continue
+        cand, k = ys[keep], int(keep.sum())
+        right_x = G.products(rows, np.full(n, x))
+        cent = np.flatnonzero(right_x == G.products(np.full(n, x), rows))
+        pos = np.full(n, k)  # position in cand, k for no candidate
+        pos[cand] = np.arange(k)
+        seen = np.zeros(k, dtype=bool)
+        right_x, cent_inv = right_x.tolist(), inverses[cent]
+        for j in range(k):
+            if seen[j]:
                 continue
+            y = int(cand[j])  # the first of its orbit {c^-1 * y * c}
+            orbit = pos[G.products(G.products(cent_inv, np.full(len(cent), y)), cent)]
+            if (orbit == k).any():
+                raise ValueError(f"the candidates of x = {x} in {G.name} are "
+                                 "not a union of C_G(x)-orbits")
+            seen[orbit] = True
+            right_y = G.products(rows, np.full(n, y)).tolist()
+            key = tuple(cayley_labels([right_x, right_y]))
+            if len(key) < 2 * n:
+                continue
+            # |orbit| = |C_G(x)| / |stabilizer of y|
+            weight = len(cls) * (len(cent) // int(np.count_nonzero(orbit == j)))
             rec = found.get(key)
             if rec is not None:
-                rec[1] += len(cls)
+                rec[1] += weight
             else:
-                found[key] = [(x, y, w), len(cls)]
+                found[key] = [(x, y, int(ws[keep][j])), weight]
     return list(found.values())
 
 

@@ -1,14 +1,19 @@
 import random
+from collections import defaultdict
+from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import catalog, homology
-from hurwitz.group import (CapExceededError, commutator_subgroup, generates,
-                           group_from_generators, kernel_key, normal_closure,
-                           subgroup_closure)
-from hurwitz.origami import origami_existence
+from hurwitz import arith, catalog, dessins, homology, origami
+from hurwitz.dessins import enumerate_triples
+from hurwitz.group import (CapExceededError, classify_pairs, commutator_subgroup,
+                           conjugacy_classes, generates, group_from_generators,
+                           kernel_key, normal_closure, subgroup_closure)
+from hurwitz.origami import enumerate_origami_pairs, origami_existence
 from hurwitz.perms import pinv, pmul, porder
+from test_relabel import CASES as RELABEL_CASES, _relabel
 
 
 def test_s3_from_generators():
@@ -235,3 +240,173 @@ def test_commutator_subgroup_standalone_matches_method():
     D = commutator_subgroup(G)
     assert len(D) == 3  # [D12, D12] = C3
     assert D == G.commutator_subgroup()
+
+
+def _keyed_candidates(G, x_ok, ys, batch, w_ok):
+    """Every candidate of the unpruned scan, as ((x, y, w), kernel key, |class of x|)."""
+    for cls in G.conjugacy_classes():
+        x = cls[0]
+        if not x_ok[x]:
+            continue
+        ws = batch(x)
+        keep = w_ok[ws]
+        for y, w in zip(ys[keep].tolist(), ws[keep].tolist()):
+            yield (x, y, w), kernel_key(G, (x, y)), len(cls)
+
+
+def _classify_pairs_oracle(G, x_ok, ys, batch, w_ok):
+    """Oracle for classify_pairs: one kernel key per candidate, no orbit pruning."""
+    found = {}
+    for pair, key, size in _keyed_candidates(G, x_ok, ys, batch, w_ok):
+        if key is None:
+            continue
+        rec = found.get(key)
+        if rec is not None:
+            rec[1] += size
+        else:
+            found[key] = [pair, size]
+    return list(found.values())
+
+
+def _relabelled(G, seed):
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    return _relabel(G, sigma)[0]
+
+
+# (group, triangle type or None, mode); every group is also scanned for origamis
+PRUNED_CASES = {
+    "PSL(2,7)": (lambda: catalog.psl2(7), (2, 3, 7), "exact"),
+    "PSL(2,8)": (lambda: catalog.psl2(8), (2, 3, 7), "exact"),
+    "PSL(2,13)": (lambda: catalog.psl2(13), (2, 3, 7), "exact"),
+    "A5 dividing": (lambda: catalog.alternating(5), (2, 5, 5), "dividing"),
+    "S4": (lambda: catalog.symmetric(4), (2, 3, 4), "exact"),
+    "dic:5": (lambda: catalog.dicyclic(5), (4, 4, 5), "exact"),
+    "C8:C2(t=5)": (lambda: catalog.metacyclic(8, 5), (2, 8, 8), "exact"),
+    "2^3.PSL(2,7)#1": (lambda: homology.klein_extension_groups()[0].group,
+                       (2, 3, 7), "exact"),
+    "origami genus 7": (lambda: origami_existence(7).witness.group, None, None),
+    "origami genus 13": (lambda: origami_existence(13).witness.group, None, None),
+    **{f"relabelled {G.name}": (lambda G=G, i=i: _relabelled(G, i), type_, "exact")
+       for i, (G, type_) in enumerate(RELABEL_CASES)},
+}
+
+
+@pytest.mark.parametrize("build,type_,mode", PRUNED_CASES.values(),
+                         ids=PRUNED_CASES.keys())
+def test_pruned_scan_matches_unpruned_oracle(build, type_, mode, monkeypatch):
+    scans = []
+
+    def checked(G, *args):
+        got = classify_pairs(G, *args)
+        assert got == _classify_pairs_oracle(G, *args)
+        scans.append(got)
+        return got
+
+    monkeypatch.setattr(dessins, "classify_pairs", checked)
+    monkeypatch.setattr(origami, "classify_pairs", checked)
+    G = build()
+    if type_ is not None:
+        assert enumerate_triples(G, type_, mode)
+        assert scans
+    enumerate_origami_pairs(G)
+    assert any(scans)
+
+
+def test_pruned_scan_refuses_candidates_that_are_not_orbit_unions():
+    G = catalog.psl2(7)
+    orders = np.array(G.element_orders())
+    ys = np.flatnonzero(orders == 3)[:1]  # one element, not its class
+    with pytest.raises(ValueError, match="union of C_G"):
+        classify_pairs(G, orders == 2, ys,
+                       lambda x: G.products(np.full(len(ys), x), ys),
+                       np.ones(G.order, dtype=bool))
+
+
+def _scalar_classes(G):
+    """Oracle for conjugacy_classes: the orbit BFS with two scalar `mul` per conjugate."""
+    n = G.order
+    assigned = [False] * n
+    gen_idx = [G.index[g] for g in G.generators]
+    gen_inv = [G.inv(g) for g in gen_idx]
+    classes = []
+    for start in range(n):
+        if assigned[start]:
+            continue
+        orbit = [start]
+        assigned[start] = True
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for gi, gii in zip(gen_idx, gen_inv):
+                c = G.mul(G.mul(gii, i), gi)
+                if not assigned[c]:
+                    assigned[c] = True
+                    orbit.append(c)
+                    queue.append(c)
+        classes.append(sorted(orbit))
+    orders = G.element_orders()
+    classes.sort(key=lambda cls: (orders[cls[0]], len(cls),
+                                  min(G.elements[i] for i in cls)))
+    return classes
+
+
+# every group built in this file, and one relabelled group
+CLASS_CASES = {
+    **{name: (lambda gens=gens: group_from_generators(gens()))
+       for name, gens in CLOSURE_CASES.items()},
+    **{name: build for name, (build, _) in MUL_CASES.items()},
+    **ORACLE_GROUPS,
+    "S4": lambda: catalog.symmetric(4),
+    "D12": lambda: catalog.dihedral(6),
+    "PSL(2,7)": lambda: catalog.psl2(7),
+    "PSL(2,13)": lambda: catalog.psl2(13),
+    "S7": lambda: catalog.symmetric(7),
+    "C2^14": lambda: catalog.abelian([2] * 14),
+    "relabelled C8:C2(t=5)": lambda: _relabelled(catalog.metacyclic(8, 5), 8),
+}
+
+
+@pytest.mark.parametrize("build", CLASS_CASES.values(), ids=CLASS_CASES.keys())
+def test_classes_match_scalar_oracle(build):
+    G = build()
+    assert conjugacy_classes(G) == _scalar_classes(G)
+
+
+def _class_power(G, i, k):
+    power = 0
+    for _ in range(k):
+        power = G.mul(power, i)
+    return G.class_of(power)
+
+
+@pytest.mark.parametrize("q,ell,orbit_size", [(7, 7, 1), (8, 2, 1), (13, 13, 3)])
+def test_branch_cycle_orbits_match_congruence_curves(q, ell, orbit_size):
+    """Branch-cycle oracle for the Galois action on the (2,3,7) dessins of PSL(2,q).
+
+    A unit k mod 42 maps a dessin with class triple T to one with triple
+    T^k, so the Galois orbit of the dessin has the size [(Z/42)^* : H],
+    where H is the set of k with T^k in Aut(G).T.  Aut(G).T is the set of
+    class triples of all generating pairs that share the dessin's kernel key.
+    """
+    G = catalog.psl2(q)
+    orders = np.array(G.element_orders())
+    ys = np.flatnonzero(orders == 3)
+    inverses = G.inverse_indices()
+    aut_orbits = defaultdict(set)  # kernel key -> Aut(G).T
+    for (x, y, w), key, _ in _keyed_candidates(
+            G, orders == 2, ys, lambda x: G.products(np.full(len(ys), x), ys),
+            orders == 7):
+        if key is not None:
+            aut_orbits[key].add((G.class_of(x), G.class_of(y), G.class_of(inverses[w])))
+    units = [k for k in range(1, 42) if gcd(k, 42) == 1]
+    reps = [cls[0] for cls in G.conjugacy_classes()]
+    power = {k: [_class_power(G, r, k) for r in reps] for k in units}
+    assert arith.congruence_curves(ell)[0].orbit_size == orbit_size
+    assert len(aut_orbits) == len(enumerate_triples(G, (2, 3, 7)))
+    for triples in aut_orbits.values():
+        T = min(triples)
+        H = [k for k in units if tuple(power[k][c] for c in T) in triples]
+        assert len(units) // len(H) == orbit_size
+    every = set().union(*aut_orbits.values())
+    assert all(tuple(power[k][c] for c in T) in every for T in every for k in units)
