@@ -351,19 +351,16 @@ def _scalar_classes(G):
     return classes
 
 
-# every group built in this file, and one relabelled group
+# every group built in this file, relabelled groups among them
 CLASS_CASES = {
     **{name: (lambda gens=gens: group_from_generators(gens()))
        for name, gens in CLOSURE_CASES.items()},
     **{name: build for name, (build, _) in MUL_CASES.items()},
     **ORACLE_GROUPS,
-    "S4": lambda: catalog.symmetric(4),
+    **{name: build for name, (build, _, _) in PRUNED_CASES.items()},
     "D12": lambda: catalog.dihedral(6),
-    "PSL(2,7)": lambda: catalog.psl2(7),
-    "PSL(2,13)": lambda: catalog.psl2(13),
     "S7": lambda: catalog.symmetric(7),
     "C2^14": lambda: catalog.abelian([2] * 14),
-    "relabelled C8:C2(t=5)": lambda: _relabelled(catalog.metacyclic(8, 5), 8),
 }
 
 
