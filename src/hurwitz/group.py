@@ -1,4 +1,5 @@
-"""Table-based finite permutation groups.
+"""Table-based finite groups: permutation groups, and groups given by a
+product rule on integer codes.
 
 Groups are enumerated completely by breadth-first closure over their
 generators, so every query afterwards is exact.  A hard order cap keeps
@@ -35,14 +36,12 @@ class FinGroup:
         self.index = index
         self.order = len(elements)
         self.name = name
+        self.gen_indices = [index[g] for g in self.generators]
         self._base, self._base_images = _base(elements)
         self._by_base = {images: i for i, images in enumerate(self._base_images)}
-        self._array = None
-        self._orders = None
-        self._inverses = None
-        self._classes = None
-        self._class_of = None
-        self._derived = None
+
+    # caches, filled on first use
+    _array = _orders = _inverses = _classes = _class_of = _derived = None
 
     def __repr__(self):
         return f"FinGroup({self.name!r}, order={self.order}, degree={self.degree})"
@@ -123,18 +122,25 @@ class FinGroup:
         return self._by_code[code]
 
     def element_orders(self):
-        """Orders by repeated products over the elements not yet at the identity."""
+        """Orders by repeated products over the elements not yet at the identity.
+
+        The power just before the identity is the inverse, so the inverses
+        are kept as well.
+        """
         if self._orders is None:
             orders = np.ones(self.order, dtype=np.intp)
+            inverses = np.zeros(self.order, dtype=np.intp)
             live = np.arange(1, self.order)
             power, k = live, 1
             while len(live):
                 k += 1
-                power = self.products(power, live)
+                last, power = power, self.products(power, live)
                 done = power == 0
                 orders[live[done]] = k
+                inverses[live[done]] = last[done]
                 live, power = live[~done], power[~done]
             self._orders = orders.tolist()
+            self._inverses = inverses.tolist()
         return self._orders
 
     def inverse_indices(self):
@@ -146,13 +152,17 @@ class FinGroup:
             self._inverses = self._lookup(inverse[:, self._base]).tolist()
         return self._inverses
 
+    def element_key(self, i: int):
+        """The element's permutation, which orders classes canonically."""
+        return self.elements[i]
+
     # -- conjugacy classes ---------------------------------------------------
 
     def conjugacy_classes(self):
         """Partition of element indices into classes, canonically sorted.
 
         Classes are ordered by element order, then class size, then by the
-        lexicographically least member permutation.
+        lexicographically least member permutation (`element_key`).
         """
         if self._classes is None:
             self._classes = conjugacy_classes(self)
@@ -259,6 +269,115 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
     return FinGroup(degree, gens, elements, index, name or f"<{len(gens)} gens>")
 
 
+class RuleGroup(FinGroup):
+    """A finite group given by a product rule on integer codes.
+
+    Element i has the code codes[i], the identity the code 0, and
+    rule(a, b) is the code of the product, for two ints or two int64
+    arrays of one shape.  `mul` and `products` are one call of the rule on
+    the codes and one gather from `by_code`, the element index of each
+    code.  The group acts on its codes by left multiplication; when every
+    code in range(degree) is an element, that is the regular action, whose
+    base is point 0 with images codes[i].  Its permutation rows `elements`,
+    their `index` and the `generators` are built only when read, for
+    oracles and tests; nothing else uses them.
+    """
+
+    def __init__(self, rule, codes, gen_codes, ncodes, name):
+        self.degree = ncodes
+        self.order = len(codes)
+        self.name = name
+        self.codes = codes.tolist()
+        self.by_code = np.full(ncodes, -1, dtype=np.intp)
+        self.by_code[codes] = np.arange(self.order)
+        self.gen_indices = self.by_code[gen_codes].tolist()
+        self._rule = rule
+        self._code_array = codes
+
+    _rows = _index = None  # the permutation rows and their index, built when read
+
+    def _row(self, i: int):
+        points = np.arange(self.degree)
+        return tuple(self._rule(np.full(self.degree, self.codes[i]), points).tolist())
+
+    @property
+    def elements(self):
+        """Left multiplication on the codes, one permutation tuple per element."""
+        if self._rows is None:
+            self._rows = [self._row(i) for i in range(self.order)]
+        return self._rows
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {row: i for i, row in enumerate(self.elements)}
+        return self._index
+
+    @property
+    def generators(self):
+        return [self._row(i) for i in self.gen_indices]
+
+    @property
+    def _base_images(self):
+        return [(c,) for c in self.codes]
+
+    def mul(self, i: int, j: int) -> int:
+        return int(self.by_code[self._rule(self.codes[i], self.codes[j])])
+
+    def products(self, I, J):
+        codes = self._code_array
+        return self.by_code[self._rule(codes[np.asarray(I, dtype=np.intp)],
+                                       codes[np.asarray(J, dtype=np.intp)])]
+
+    def inverse_indices(self):
+        """The inverses that `element_orders` keeps."""
+        self.element_orders()
+        return self._inverses
+
+    def element_key(self, i: int):
+        """The element's code.  Row i of the regular action starts with
+        codes[i], the image of the identity's code 0, and codes differ, so
+        codes order the elements as their rows do."""
+        return self.codes[i]
+
+
+def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> RuleGroup:
+    """Enumerate the group generated by codes under a product rule, by BFS closure.
+
+    Codes lie in range(ncodes) and 0 is the identity (see `RuleGroup`).
+    The closure runs one level at a time: the products u * s of the last
+    level's elements u with the generators s, read in the order of u and
+    then of s, add the first occurrence of each code not yet found.  That
+    is the order of the one-at-a-time BFS of `group_from_generators`.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    if gens.ndim != 1 or not len(gens):
+        raise ValueError("need at least one generator")
+    if ((gens < 0) | (gens >= ncodes)).any():
+        raise ValueError(f"generator codes must lie in 0..{ncodes - 1}")
+    found = np.zeros(ncodes, dtype=bool)
+    found[0] = True
+    levels = [np.zeros(1, dtype=np.int64)]
+    order = 1
+    while len(levels[-1]):
+        last = levels[-1]
+        new = rule(np.repeat(last, len(gens)), np.tile(gens, len(last)))
+        new = new[~found[new]]
+        # keep the first occurrence of each code, in scan order
+        by_value = np.argsort(new, kind="stable")
+        first = np.ones(len(new), dtype=bool)
+        first[1:] = new[by_value[1:]] != new[by_value[:-1]]
+        level = new[np.sort(by_value[first])]
+        order += len(level)
+        if order > cap:
+            raise CapExceededError(
+                f"order exceeds cap {cap} (group {name or 'unnamed'})")
+        found[level] = True
+        levels.append(level)
+    return RuleGroup(rule, np.concatenate(levels), gens, ncodes,
+                     name or f"<{len(gens)} gens>")
+
+
 def conjugacy_classes(G: FinGroup):
     """Classes as orbits under conjugation by the generators, canonically sorted.
 
@@ -267,7 +386,7 @@ def conjugacy_classes(G: FinGroup):
     n = G.order
     rows = np.arange(n)
     tables = []
-    for g in (G.index[s] for s in G.generators):
+    for g in G.gen_indices:
         left = G.products(np.full(n, G.inv(g)), rows)
         tables.append(G.products(left, np.full(n, g)).tolist())
     assigned = [False] * n
@@ -286,7 +405,7 @@ def conjugacy_classes(G: FinGroup):
         classes.append(sorted(orbit))
     orders = G.element_orders()
     classes.sort(key=lambda cls: (orders[cls[0]], len(cls),
-                                  min(G.elements[i] for i in cls)))
+                                  min(map(G.element_key, cls))))
     return classes
 
 
@@ -332,8 +451,7 @@ def normal_closure(G: FinGroup, seeds):
     conjugate of a seed, so it is the normal closure itself.
     """
     mul = G.mul
-    gen_idx = [G.index[g] for g in G.generators]
-    conjugators = [(G.inv(g), g) for g in gen_idx]
+    conjugators = [(G.inv(g), g) for g in G.gen_indices]
     seen = {0}
     queue = [0]
     for u in queue:
@@ -348,7 +466,7 @@ def normal_closure(G: FinGroup, seeds):
 
 def commutator_subgroup(G: FinGroup):
     """Derived subgroup, as sorted indices: normal closure of generator commutators."""
-    gen_idx = [G.index[g] for g in G.generators]
+    gen_idx = G.gen_indices
     seeds = {G.commutator(a, b) for a in gen_idx for b in gen_idx} - {0}
     return normal_closure(G, seeds)
 

@@ -12,14 +12,14 @@ Hurwitz groups are built from the Klein-quartic kernel.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
-from .group import (DEFAULT_CAP, FinGroup, cayley_labels, generates,
-                    group_from_generators, kernel_key)
+from .group import (DEFAULT_CAP, CapExceededError, FinGroup, generates,
+                    group_from_rule)
 from .fields import is_prime
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
@@ -362,7 +362,11 @@ class CocycleError(RuntimeError):
 
 @dataclass
 class ExtensionGroup:
-    """An extension of G by the quotient module M/U, with its projection."""
+    """An extension E of G by the quotient module M/U, with its projection.
+
+    E is a `RuleGroup` whose element codes are the pairs (v, g) read as
+    from_digits(v) * |G| + g, so the projection to G is the code mod |G|.
+    """
     group: FinGroup
     base: FinGroup
     module_dim: int
@@ -370,20 +374,47 @@ class ExtensionGroup:
     split: bool
 
     def project(self, i: int) -> int:
-        """Image in the base group of an extension element (by point 0's block)."""
-        return self.group.elements[i][0] % self.base.order
+        """Image in the base group of an extension element."""
+        return self.group.codes[i] % self.base.order
+
+
+@dataclass
+class TwistedProduct:
+    """The product (v, g)(w, h) = (v + rho(g) w + c(g, h), gh) on the codes
+    from_digits(v) * n + g, from tables whose vectors of M/U are digit rows.
+
+    Vector addition runs on digit rows: a table of sums of codes would hold
+    ell^(2 qdim) entries, more than |E| whenever |M/U| > |G|.
+    """
+    n: int              # |G|
+    ell: int
+    powers: np.ndarray  # ell^i, so that code = digits @ powers
+    digits: np.ndarray  # digits[v]: the vector of code v
+    act: np.ndarray     # act[g, w]: rho(g) w, for the code w
+    coc: np.ndarray     # coc[g, h]: c(g, h)
+    gmul: np.ndarray    # gmul[g, h]: index of gh in G
+
+    def __call__(self, a, b):
+        v, g = divmod(a, self.n)
+        w, h = divmod(b, self.n)
+        vec = (self.digits[v] + self.act[g, w] + self.coc[g, h]) % self.ell
+        return vec @ self.powers * self.n + self.gmul[g, h]
 
 
 def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> ExtensionGroup:
     """Quotient of the triangle group by the preimage of the invariant U.
 
     Elements are pairs (v, g) with v in M/U; multiplication is twisted by
-    the 2-cocycle c(g, h) = image of sigma(g) sigma(h) sigma(gh)^-1.  The
-    group is realized through the left-regular action on the |M/U| * |G|
-    pairs, the pair (v, g) being the point from_digits(v) * |G| + g (so
-    index multiplication matches the extension product and the projection
-    to G is a homomorphism); the cocycle identity is verified on sampled
-    triples.
+    the 2-cocycle c(g, h) = image of sigma(g) sigma(h) sigma(gh)^-1, see
+    `TwistedProduct`.  E is the `RuleGroup` of that product on the codes
+    from_digits(v) * |G| + g, closed from the lifts of the triangle
+    generators; its elements come in the BFS order of the left-regular
+    action on the pairs.  |E| = |G| * ell^qdim is checked against the cap
+    before any table is built.  The tables are rho(g) on M/U
+    (|G| x ell^qdim vectors), the cocycle (|G|^2 vectors, filled by
+    `_cocycle_table` from the two rewritten generator rows and checked
+    against direct rewriting and the cocycle identity on sampled triples),
+    the digits of each code and G's multiplication table (|G|^2).
     """
     sd = mod.schreier
     G = sd.group
@@ -391,115 +422,134 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     RU, pivotsU = rref_mod(np.reshape(U, (len(U), mod.dim)), ell)
     freeU = np.setdiff1d(np.arange(mod.dim), pivotsU)
     qdim = len(freeU)
+    n, size = G.order, ell ** qdim
+    label = name or f"{G.name}.ext({ell}^{qdim})"
+    if n * size > cap:
+        raise CapExceededError(
+            f"extension {label}: {n} × {ell}^{qdim} = {n * size} > cap {cap}")
     blockU = RU[:, freeU]
 
-    def to_quotient(coords):
-        """Coordinates in M/U of coords (or of each row of coords)."""
-        return _quotient_coords(coords, blockU, pivotsU, freeU, ell)
+    def word_vectors(words):
+        """Vectors in M/U of the images of words closed at the identity coset."""
+        vecs = []
+        for word in words:
+            vec, end = sd.rewrite(word)
+            if end != 0:
+                raise CocycleError("cocycle word did not close")
+            vecs.append(vec)
+        vecs = mod.project(np.reshape(vecs, (len(vecs), sd.num_schreier)))
+        return _quotient_coords(vecs, blockU, pivotsU, freeU, ell)
 
-    def rho_q(g):
-        """The action of g on M/U, as a qdim x qdim matrix."""
-        return to_quotient(mod.action_of(g)[:, freeU].T).T
+    tree = sd.tree_word
 
-    def coc(g, h):
-        """c(g, h): the image of sigma(g) sigma(h) sigma(gh)^-1 in M/U."""
-        word = (sd.tree_word[g] + sd.tree_word[h]
-                + _word_inverse(sd.tree_word[G.mul(g, h)]))
-        vec, end = sd.rewrite(word)
-        if end != 0:
-            raise CocycleError("cocycle word did not close")
-        return to_quotient(mod.project(vec))
+    def direct(I, J):
+        """c(g, h) for g, h in zip(I, J), each by rewriting its word."""
+        return word_vectors([tree[g] + tree[h] + _word_inverse(tree[G.mul(g, h)])
+                             for g, h in zip(I, J)])
 
-    # images of the presentation generators in the extension
-    def gen_value(letter, img):
-        vec, end = sd.rewrite([(letter, 1)] + _word_inverse(sd.tree_word[img]))
-        if end != 0:
-            raise CocycleError("generator lift word did not close")
-        return to_quotient(mod.project(vec))
-
-    n = G.order
     powers = ell ** np.arange(qdim, dtype=np.int64)
-    digits = np.arange(ell ** qdim)[:, None] // powers % ell  # v of each code
-
-    def left_gen_perm(w, s):
-        # (w, s) acting by left multiplication:
-        # (w, s) * (v, g) = (w + rho(s) v + c(s, g), s * g)
-        c_row = np.array([coc(s, g) for g in range(n)],
-                         dtype=np.int64).reshape(n, qdim)
-        v2 = (w + digits @ rho_q(s).T)[:, None, :] + c_row
-        images = (v2 % ell) @ powers * n + [G.mul(s, g) for g in range(n)]
-        return tuple(images.ravel().tolist())
-
-    gx, gy = sd.gen_images
-    perm_x = left_gen_perm(gen_value(X, gx), gx)
-    perm_y = left_gen_perm(gen_value(Y, gy), gy)
-    label = name or f"{G.name}.ext({ell}^{qdim})"
-    E = group_from_generators([perm_x, perm_y], cap=cap, name=label)
-    expected = G.order * ell ** qdim
-    if E.order != expected:
-        raise CocycleError(f"extension order {E.order} != expected {expected}")
-    _verify_cocycle(G, coc, rho_q, ell)
-    split = _has_complement(E, G)
-    return ExtensionGroup(E, G, qdim, ell, split)
+    digits = np.arange(size)[:, None] // powers % ell  # v of each code
+    # rho(g)^T on M/U, stacked over g: a row vector times it is rho(g) v
+    rho_t = _quotient_coords(np.stack([mod.action_of(g)[:, freeU].T for g in range(n)]),
+                             blockU, pivotsU, freeU, ell)
+    everything = np.arange(n)
+    gmul = G.products(np.repeat(everything, n), np.tile(everything, n)).reshape(n, n)
+    gens = sd.gen_images
+    coc = _cocycle_table(gmul, rho_t, ell,
+                         {s: direct([s] * n, everything) for s in gens})
+    prod = TwistedProduct(n, ell, powers, digits, digits @ rho_t % ell, coc, gmul)
+    _verify_cocycle(prod, direct)
+    # x lifts to (the value of x sigma(gx)^-1, gx), and y likewise
+    lifts = word_vectors([[(letter, 1)] + _word_inverse(tree[g])
+                          for letter, g in zip((X, Y), gens)]) @ powers * n + gens
+    E = group_from_rule(prod, lifts, n * size, cap=cap, name=label)
+    if E.order != n * size:
+        raise CocycleError(f"extension order {E.order} != expected {n * size}")
+    return ExtensionGroup(E, G, qdim, ell, _has_complement(prod, gens))
 
 
-def _verify_cocycle(G, coc, rho_q, ell, samples=40):
-    """Spot-check c(g,h) + c(gh,k) = g*c(h,k) + c(g,hk) on deterministic triples."""
-    step = max(1, G.order // 7)
-    picks = list(range(0, G.order, step))[:12]
-    count = 0
-    for g in picks:
-        for h in picks:
-            for k in picks:
-                if count >= samples:
-                    return
-                lhs = coc(g, h) + coc(G.mul(g, h), k)
-                rhs = rho_q(g) @ coc(h, k) + coc(g, G.mul(h, k))
-                if ((lhs - rhs) % ell).any():
-                    raise CocycleError("2-cocycle identity violated")
-                count += 1
+def _cocycle_table(gmul, rho_t, ell, rows):
+    """c(g, h) in M/U for all g, h, from the rows c(s, .) of the generators.
 
-
-class _RightMultiplication:
-    """Lazy right-multiplication table of E by element a: [u] is u * a."""
-
-    def __init__(self, E: FinGroup, a: int):
-        self._mul, self._a, self._n = E.mul, a, E.order
-
-    def __getitem__(self, u: int) -> int:
-        return self._mul(u, self._a)
-
-    def __len__(self) -> int:
-        return self._n
-
-
-def _has_complement(E: FinGroup, G: FinGroup) -> bool:
-    """Search for a homomorphic section G -> E over all lifts of the generators.
-
-    The extension splits iff some lifts (ax, ay) of the triangle generator
-    images (gx, gy) satisfy gx -> ax, gy -> ay extending to an isomorphism
-    G -> <ax, ay>, i.e. iff the Cayley labels of (ax, ay) in E equal the
-    canonical Cayley key of (gx, gy) in G.  Each lift pair is compared
-    lazily and dropped at its first mismatching label; the labels read
-    products one at a time through the scalar `mul`, so E builds neither
-    a right-multiplication table nor an element array.
+    The identity's row is 0.  A BFS over right multiplication by the
+    generators fills the row of gs from those of g and s by the cocycle
+    identity at (g, s, h): c(gs, h) = rho(g) c(s, h) + c(g, sh) - c(g, s).
+    rho_t[g] is rho(g)^T, so c(s, h) @ rho_t[g] is rho(g) c(s, h).
     """
-    base = G.order
-    # Point 0 of the extension is (0, identity), so e.elements[i][0] encodes
-    # the element itself and its G block is the projection to the base.
-    gx = E.generators[0][0] % base
-    gy = E.generators[1][0] % base
-    key = kernel_key(G, (gx, gy))
-    lifts_x = [_RightMultiplication(E, i) for i in range(E.order)
-               if E.elements[i][0] % base == gx]
-    lifts_y = [_RightMultiplication(E, i) for i in range(E.order)
-               if E.elements[i][0] % base == gy]
-    for ax in lifts_x:
-        for ay in lifts_y:
-            labels = cayley_labels([ax, ay])
-            if all(a == b for a, b in zip_longest(labels, key)):
-                return True
-    return False
+    n = len(gmul)
+    table = np.zeros((n, n, rho_t.shape[1]), dtype=np.int64)
+    for s, row in rows.items():
+        table[s] = row
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue = [0]
+    for g in queue:
+        for s in rows:
+            gs = gmul[g, s]
+            if not seen[gs]:
+                seen[gs] = True
+                table[gs] = (table[s] @ rho_t[g] + table[g, gmul[s]]
+                             - table[g, s]) % ell
+                queue.append(gs)
+    return table
+
+
+def _cocycle_samples(n, samples=40):
+    """Deterministic triples (g, h, k) spread over a group of order n."""
+    rng = random.Random(n)
+    return [tuple(rng.randrange(n) for _ in range(3)) for _ in range(samples)]
+
+
+def _verify_cocycle(prod: TwistedProduct, direct):
+    """Spot-check the cocycle table on deterministic triples (g, h, k).
+
+    Its entries at (g, h), (gh, k), (h, k) and (g, hk) must equal direct
+    rewriting, direct(I, J), and satisfy c(g,h) + c(gh,k) = g*c(h,k) + c(g,hk).
+    """
+    g, h, k = np.array(_cocycle_samples(prod.n)).T
+    gh, hk = prod.gmul[g, h], prod.gmul[h, k]
+    table = prod.coc
+    for I, J in ((g, h), (gh, k), (h, k), (g, hk)):
+        if (table[I, J] != direct(I, J)).any():
+            raise CocycleError("cocycle table disagrees with direct rewriting")
+    lhs = table[g, h] + table[gh, k]
+    rhs = prod.act[g, table[h, k] @ prod.powers] + table[g, hk]
+    if ((lhs - rhs) % prod.ell).any():
+        raise CocycleError("2-cocycle identity violated")
+
+
+def _has_complement(prod: TwistedProduct, gens) -> bool:
+    """Is there a homomorphic section G -> E?
+
+    Its values at the generators s are lifts (v_s, s).  Along a BFS over
+    right multiplication, f(1) = 0 and f(us) = f(u) + rho(u) v_s + c(u, s),
+    the M/U part of (f(u), u)(v_s, s), so f(u) = A_u z + b_u is affine in
+    z = (v_s)_s.  The lifts extend to a homomorphism G -> E, necessarily a
+    section of the projection, iff every other edge (u, s) of the Cayley
+    graph agrees with f too: a linear system in z over F_ell, solvable iff
+    the RREF of its rows [A | b] has no pivot in the last column.
+    """
+    n, ell, q = prod.n, prod.ell, len(prod.powers)
+    rho = prod.act[:, prod.powers].transpose(0, 2, 1)  # rho(u), one matrix per u
+    width = len(gens) * q + 1  # z, then the constant term
+    f = np.zeros((n, q, width), dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    queue, rows = [0], []
+    for u in queue:
+        for j, s in enumerate(gens):
+            image = f[u].copy()
+            image[:, j * q:(j + 1) * q] += rho[u]
+            image[:, -1] += prod.coc[u, s]
+            us = prod.gmul[u, s]
+            if seen[us]:
+                rows.append(image - f[us])
+            else:
+                seen[us] = True
+                f[us] = image % ell
+                queue.append(us)
+    _, pivots = rref_mod(np.concatenate(rows), ell)
+    return width - 1 not in pivots
 
 
 # -- the genus-17 pipeline ----------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hurwitz import catalog, cli, dessins
+from hurwitz import catalog, cli, dessins, homology
 
 
 def run(args):
@@ -85,6 +85,21 @@ def test_cap_exceeded_exit_two(capsys):
     code = cli.main(["dessins", "--group", "psl2:27", "--cap", "100"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_extension_cap_checked_before_any_table(capsys, monkeypatch):
+    # |E| = 168 * 2^6 is known from the quotient's dimension alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("extension table built")
+
+    monkeypatch.setattr(homology, "_cocycle_table", refuse)
+    monkeypatch.setattr(homology, "group_from_rule", refuse)
+    code = cli.main(["homology", "--group", "psl2:7", "--ell", "2",
+                     "--invariant-dim", "0", "--extensions", "--cap", "5000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("infeasible: order cap exceeded (extension "
+                            "2^6.PSL(2,7)#1: 168 × 2^6 = 10752 > cap 5000)\n")
 
 
 def test_origami_genus_six(capsys):

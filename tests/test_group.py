@@ -10,7 +10,8 @@ from hurwitz import arith, catalog, dessins, homology, origami
 from hurwitz.dessins import enumerate_triples
 from hurwitz.group import (CapExceededError, classify_pairs, commutator_subgroup,
                            conjugacy_classes, generates, group_from_generators,
-                           kernel_key, normal_closure, subgroup_closure)
+                           group_from_rule, kernel_key, normal_closure,
+                           subgroup_closure)
 from hurwitz.origami import enumerate_origami_pairs, origami_existence
 from hurwitz.perms import pinv, pmul, porder
 from test_relabel import CASES as RELABEL_CASES, _relabel
@@ -221,6 +222,44 @@ def test_closure_matches_pmul_bfs(gens):
     elements, index = _pmul_closure(gens)
     assert G.elements == elements
     assert G.index == index
+
+
+def _affine_rule(a, b):
+    """x -> u x + t over F_7 as the code (u - 1) * 7 + t; the product applies
+    b first, (u, t)(u', t') = (u u', u t' + t)."""
+    u, t = divmod(a, 7)
+    v, w = divmod(b, 7)
+    return ((u + 1) * (v + 1) % 7 - 1) * 7 + ((u + 1) * w + t) % 7
+
+
+# AGL(1,7), its translations C7, and the trivial group
+RULE_CASES = {"AGL(1,7)": [7 * 2 + 1, 7 * 1 + 3], "C7": [1], "C1": [0]}
+
+
+@pytest.mark.parametrize("gens", RULE_CASES.values(), ids=RULE_CASES.keys())
+def test_rule_closure_matches_permutation_closure(gens):
+    """Oracle: the permutation group of the generators' left multiplications."""
+    G = group_from_rule(_affine_rule, gens, 42)
+    P = group_from_generators([tuple(_affine_rule(s, c) for c in range(42))
+                               for s in gens])
+    assert G.codes == [e[0] for e in P.elements]
+    assert G.gen_indices == P.gen_indices
+    assert [G.mul(i, j) for i in range(G.order) for j in range(G.order)] == \
+        [P.mul(i, j) for i in range(P.order) for j in range(P.order)]
+    assert G.element_orders() == P.element_orders()
+    assert G.inverse_indices() == [P.index[pinv(e)] for e in P.elements]
+    assert conjugacy_classes(G) == conjugacy_classes(P)
+    if G.order == 42:  # the regular action: the rows are P's permutations
+        assert G.elements == P.elements and G.index == P.index
+
+
+def test_rule_closure_checks_its_input():
+    with pytest.raises(CapExceededError):
+        group_from_rule(_affine_rule, [7 * 2 + 1, 7 * 1 + 3], 42, cap=41)
+    assert group_from_rule(_affine_rule, [1], 42, cap=7).order == 7
+    for gens in ([], [42], [-1]):
+        with pytest.raises(ValueError):
+            group_from_rule(_affine_rule, gens, 42)
 
 
 def test_perm_helpers():

@@ -1,11 +1,15 @@
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import catalog, dessins, homology
 from hurwitz.fields import from_digits, to_digits
-from hurwitz.group import FinGroup, pair_isomorphic
-from hurwitz.homology import (ScanInfeasibleError, extension_quotient,
+from hurwitz.group import (FinGroup, cayley_labels, group_from_generators,
+                           kernel_key, pair_isomorphic)
+from hurwitz.homology import (CocycleError, ScanInfeasibleError, extension_quotient,
                               invariant_submodules, kernel_mod_ell_homology,
                               klein_extension_groups, rref_mod, schreier_data)
 from test_pair_iso import _evaluate, _word_map
@@ -267,14 +271,16 @@ def test_extension_orders_and_projection(klein):
         assert all(E.group.element_order(i) in (1, 2) for i in ker)
 
 
-def _scalar_left_generators(mod, U):
-    """Oracle for the extension's generators: left multiplication by the lifts
-    of x and y, one point (v, g) = from_digits(v) * |G| + g at a time."""
+def _inverse(word):
+    return [(g, -s) for g, s in reversed(word)]
+
+
+def _scalar_quotient(mod, U):
+    """Oracle arithmetic in M/U, one vector at a time: the free columns of
+    U's RREF, coordinates modulo U, and the value of a closed word."""
     sd, ell = mod.schreier, mod.ell
-    G = sd.group
     RU, pivotsU = rref_mod(U, ell) if len(U) else (None, [])
     freeU = [c for c in range(mod.dim) if c not in pivotsU]
-    qdim = len(freeU)
 
     def to_quotient(coords):
         v = [int(a) % ell for a in coords]
@@ -287,8 +293,30 @@ def _scalar_left_generators(mod, U):
         assert end == 0
         return to_quotient(mod.project(vec))
 
-    def inverse(word):
-        return [(g, -s) for g, s in reversed(word)]
+    return freeU, to_quotient, word_value
+
+
+def _scalar_cocycle(mod, U):
+    """Oracle for the cocycle table: c(g, h) in M/U by rewriting
+    sigma(g) sigma(h) sigma(gh)^-1."""
+    sd = mod.schreier
+    tree, mul = sd.tree_word, sd.group.mul
+    _, _, word_value = _scalar_quotient(mod, U)
+
+    def coc(g, h):
+        return word_value(tree[g] + tree[h] + _inverse(tree[mul(g, h)]))
+
+    return coc
+
+
+def _scalar_left_generators(mod, U):
+    """Oracle for the extension's generators: left multiplication by the lifts
+    of x and y, one point (v, g) = from_digits(v) * |G| + g at a time."""
+    sd, ell = mod.schreier, mod.ell
+    G = sd.group
+    freeU, to_quotient, word_value = _scalar_quotient(mod, U)
+    qdim = len(freeU)
+    inverse = _inverse
 
     def left_gen_perm(letter, s):
         w = word_value([(letter, 1)] + inverse(sd.tree_word[s]))
@@ -329,6 +357,90 @@ def test_extension_generators_match_scalar_oracle(klein):
         E = extension_quotient(m, U)
         assert E.group.generators == _scalar_left_generators(m, U)
     assert [E.module_dim, E.group.order, E.ell] == [2, 27, 3]
+
+
+ORACLE_EXTENSIONS = {
+    "2^3.PSL(2,7)#1": lambda mod: (mod, invariant_submodules(mod, 3)[0]),
+    "2^3.PSL(2,7)#2": lambda mod: (mod, invariant_submodules(mod, 3)[1]),
+    "U = M": lambda mod: (mod, np.eye(mod.dim, dtype=np.int64)),
+    "C3 mod 3": lambda mod: (_c3_mod_three(), np.zeros((0, 2), dtype=np.int64)),
+}
+
+
+def _split_oracle(P, G, gens):
+    """Oracle for the splitting test on the permutation build P: some lifts
+    of the generators have the canonical Cayley key of gens in G."""
+    key = kernel_key(G, gens)
+    tables = [{i: P.right_mult_table(i) for i in range(P.order)
+               if P.elements[i][0] % G.order == g} for g in gens]
+    return any(tuple(cayley_labels([tx, ty])) == key
+               for tx in tables[0].values() for ty in tables[1].values())
+
+
+@pytest.mark.parametrize("case", ORACLE_EXTENSIONS.values(),
+                         ids=ORACLE_EXTENSIONS.keys())
+def test_product_rule_matches_permutation_build(klein, case):
+    """Oracle: the permutation group of the generator lifts' left
+    multiplications, closed by `group_from_generators`."""
+    m, U = case(klein[2])
+    ext = extension_quotient(m, U)
+    E = ext.group
+    P = group_from_generators(_scalar_left_generators(m, U))
+    assert ext.split == _split_oracle(P, m.schreier.group, m.schreier.gen_images)
+    inverses = P.inverse_indices()  # from the inverse permutations
+    assert E.order == P.order
+    assert E.codes == [e[0] for e in P.elements]
+    rng = random.Random(E.order)
+    pairs = [(rng.randrange(E.order), rng.randrange(E.order)) for _ in range(500)]
+    expected = [P.mul(i, j) for i, j in pairs]
+    assert [E.mul(i, j) for i, j in pairs] == expected
+    assert E.products(*zip(*pairs)).tolist() == expected
+    assert E.element_orders() == P.element_orders()
+    assert E.inverse_indices() == inverses
+    assert E.conjugacy_classes() == P.conjugacy_classes()
+
+
+def test_cocycle_table_matches_rewriting_on_every_pair(klein):
+    _, _, mod = klein
+    U = invariant_submodules(mod, 3)[0]
+    table = extension_quotient(mod, U).group._rule.coc
+    coc = _scalar_cocycle(mod, U)
+    n = mod.schreier.group.order
+    assert table.tolist() == [[coc(g, h) for h in range(n)] for g in range(n)]
+
+
+def test_verify_cocycle_catches_one_corrupted_entry(klein):
+    _, _, mod = klein
+    U = invariant_submodules(mod, 3)[0]
+    prod = extension_quotient(mod, U).group._rule
+    coc = _scalar_cocycle(mod, U)
+
+    def direct(I, J):
+        return np.array([coc(g, h) for g, h in zip(I, J)])
+
+    homology._verify_cocycle(prod, direct)
+    g, h, _ = homology._cocycle_samples(prod.n)[0]
+    bad = prod.coc.copy()
+    bad[g, h, 0] = 1 - bad[g, h, 0]
+    bad_prod = dataclasses.replace(prod, coc=bad)
+    with pytest.raises(CocycleError, match="direct rewriting"):
+        homology._verify_cocycle(bad_prod, direct)
+    # rewriting that agrees with the bad entry leaves the identity to catch it
+    with pytest.raises(CocycleError, match="identity violated"):
+        homology._verify_cocycle(bad_prod, lambda I, J: bad[I, J])
+
+
+def test_order_10752_extension(klein):
+    """U = 0 gives 2^6.PSL(2,7), the order of the genus-129 Hurwitz group."""
+    G, _, mod = klein
+    ext = extension_quotient(mod, np.zeros((0, mod.dim), dtype=np.int64))
+    E = ext.group
+    assert (E.order, ext.module_dim, ext.split) == (10752, 6, False)
+    rng = random.Random(10752)
+    for _ in range(2000):
+        i, j = rng.randrange(E.order), rng.randrange(E.order)
+        assert ext.project(E.mul(i, j)) == G.mul(ext.project(i), ext.project(j))
+    assert E._rows is None  # no permutation tuple of degree 10752 was built
 
 
 def test_splitting_test_builds_no_right_mult_table(klein, monkeypatch):
