@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hurwitz import catalog, cli, dessins, homology
+from hurwitz import catalog, cli, dessins, group, homology
 
 
 def run(args):
@@ -100,6 +100,16 @@ def test_extension_cap_checked_before_any_table(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert captured.err == ("infeasible: order cap exceeded (extension "
                             "2^6.PSL(2,7)#1: 168 × 2^6 = 10752 > cap 5000)\n")
+
+
+def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
+    # the class order of the order-1344 groups compares codes, not rows
+    def refuse(self, i):
+        raise AssertionError("permutation row built")
+
+    monkeypatch.setattr(group.RuleGroup, "_row", refuse)
+    code, out = run_main(["census", "--max-genus", "17"], capsys)
+    assert code == 0 and json.loads(out)["counts"]["17"] == 2
 
 
 def test_origami_genus_six(capsys):
