@@ -20,7 +20,7 @@ import numpy as np
 
 from .group import (DEFAULT_CAP, CapExceededError, FinGroup, generates,
                     group_from_rule)
-from .fields import is_prime
+from .fields import Fq, is_prime, to_digits
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
 X, Y = 0, 1
@@ -187,6 +187,7 @@ class GModule:
     _pivots: np.ndarray = field(repr=False, default=None)
     _free: np.ndarray = field(repr=False, default=None)
     _rho: dict = field(repr=False, default=None)
+    _coc_rows: dict = field(repr=False, default=None)
 
     def project(self, vec):
         return _quotient_coords(vec, self._block, self._pivots, self._free,
@@ -197,6 +198,18 @@ class GModule:
         if self._rho is None:
             self._rho = _propagate_actions(self)
         return self._rho[g]
+
+    def cocycle_rows(self):
+        """c(s, h) in M for each generator image s and every h: the images of
+        sigma(s) sigma(h) sigma(sh)^-1, rewritten once and kept for every U."""
+        if self._coc_rows is None:
+            sd = self.schreier
+            tree, mul = sd.tree_word, sd.group.mul
+            self._coc_rows = {
+                s: _closed_word_coords(self, [tree[s] + tree[h] + _word_inverse(tree[mul(s, h)])
+                                              for h in range(sd.group.order)])
+                for s in sd.gen_images}
+        return self._coc_rows
 
     def fixed_subspace_dim(self) -> int:
         stack = np.vstack([(A - np.eye(self.dim, dtype=np.int64)) % self.ell
@@ -298,60 +311,107 @@ def _matinv(A, ell):
 
 # -- invariant submodules -----------------------------------------------------
 
-SUBSPACE_SCAN_LIMIT = 2_000_000
+SUBSPACE_SCAN_LIMIT = 2_000_000  # the most vectors (ell^dim) the lattice labels
 
 
 class ScanInfeasibleError(RuntimeError):
-    """The exhaustive subspace scan would exceed the feasibility limit."""
+    """The module has more vectors than the submodule lattice labels."""
 
 
-def _rref_subspaces(n, d, ell):
-    """All d-dimensional subspaces of F_ell^n, one RREF basis each, with its pivots."""
-    from itertools import combinations, product
-    for pivots in combinations(range(n), d):
-        pivots = list(pivots)
-        free = [(i, c) for i, p in enumerate(pivots)
-                for c in range(p + 1, n) if c not in pivots]
-        rows = [i for i, _ in free]
-        cols = [c for _, c in free]
-        echelon = np.zeros((d, n), dtype=np.int64)
-        echelon[range(d), pivots] = 1
-        for values in product(range(ell), repeat=len(free)):
-            B = echelon.copy()
-            B[rows, cols] = values
-            yield B, pivots
+def _code_tables(mats, ell, n):
+    """For each matrix A, code(A v) at every code from_digits(v, ell) of
+    F_ell^n, one int32 row per matrix; digit rows are made a chunk at a time."""
+    chunk = 1 << 16
+    powers = ell ** np.arange(n, dtype=np.int64)
+    stacked = np.hstack([A.T for A in mats])  # a row vector times it: each A v
+    total = ell ** n
+    tables = np.empty((len(mats), total), dtype=np.int32)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total))
+        images = (codes[:, None] // powers % ell) @ stacked % ell
+        tables[:, start:start + len(codes)] = (
+            images.reshape(len(codes), len(mats), n) @ powers).T
+    return tables
 
 
-def _count_subspaces(n, d, ell):
-    num = den = 1
-    for i in range(d):
-        num *= ell ** (n - i) - 1
-        den *= ell ** (d - i) - 1
-    return num // den
+def _orbit_minima(tables):
+    """The least code in each code's orbit under the permutations `tables`.
+
+    Pulling the label of each image, label = min(label, label[table]), is
+    exact for permutations: at a fixed point the label is constant along
+    every cycle, and it only ever takes values from the orbit.
+    """
+    label = np.arange(tables.shape[1], dtype=np.int32)
+    while True:
+        before = label
+        for table in tables:
+            label = np.minimum(label, label[table])
+        if (label == before).all():
+            return label
+
+
+def _spin(vec, actions, ell):
+    """RREF basis of the cyclic submodule spin(vec), the least invariant
+    subspace holding vec: apply every action to the whole basis until the
+    rank stops growing."""
+    R, _ = rref_mod(np.reshape(vec, (1, -1)), ell)
+    while True:
+        grown, _ = rref_mod(np.vstack([R] + [R @ A.T for A in actions]), ell)
+        if len(grown) == len(R):
+            return R
+        R = grown
+
+
+def _scan_order(B):
+    """Sort key of an RREF basis in the order of an exhaustive subspace scan:
+    dimension, pivot columns, then the entries in the free columns."""
+    pivots = np.argmax(B != 0, axis=1)
+    free = np.setdiff1d(np.arange(B.shape[1]), pivots)
+    return len(B), tuple(pivots.tolist()), tuple(B[:, free].ravel().tolist())
+
+
+def submodule_lattice(mod: GModule):
+    """Every G-invariant subspace of mod, as RREF bases in `_scan_order`.
+
+    Every submodule is a sum of cyclic ones, and spin(g v) = spin(c v) =
+    spin(v) for g in G and scalars c, so one vector per orbit of <G, F_ell^*>
+    finds every cyclic submodule.  The orbits come from labelling all ell^dim
+    codes (`_orbit_minima`), hence the limit; the lattice is then the cyclic
+    submodules closed under sums.
+    """
+    n, ell = mod.dim, mod.ell
+    if ell ** n > SUBSPACE_SCAN_LIMIT:
+        name = mod.schreier.group.name if mod.schreier else "module"
+        raise ScanInfeasibleError(
+            f"submodule lattice: {ell}^{n} vectors ({name}, ell = {ell}, "
+            f"dim {n}) exceed the limit {SUBSPACE_SCAN_LIMIT}")
+    root = Fq(ell).generator()
+    mats = list(mod.action)
+    if root > 1:  # F_2^* is trivial
+        mats.append(root * np.eye(n, dtype=np.int64))
+    label = _orbit_minima(_code_tables(mats, ell, n))
+    reps = np.flatnonzero(label == np.arange(len(label)))[1:]  # code 0 spins to 0
+    cyclic = {}
+    for code in reps.tolist():
+        C = _spin(to_digits(code, ell, n), mod.action, ell)
+        cyclic.setdefault(C.tobytes(), C)
+    zero = np.zeros((0, n), dtype=np.int64)
+    lattice = {zero.tobytes(): zero}
+    for C in cyclic.values():
+        for U in list(lattice.values()):
+            S, _ = rref_mod(np.vstack([U, C]), ell)
+            lattice.setdefault(S.tobytes(), S)
+    return sorted(lattice.values(), key=_scan_order)
 
 
 def invariant_submodules(mod: GModule, d: int):
-    """All G-invariant d-dimensional subspaces, by exhaustive subspace scan."""
+    """The G-invariant d-dimensional subspaces, filtered from the lattice."""
     n = mod.dim
     if not 0 <= d <= n:
         raise ValueError(f"dimension {d} outside 0..{n}")
-    if d == 0:
-        return [np.zeros((0, n), dtype=np.int64)]
-    total = _count_subspaces(n, d, mod.ell)
-    if total > SUBSPACE_SCAN_LIMIT:
-        raise ScanInfeasibleError(
-            f"subspace scan infeasible: {total} candidate subspaces "
-            f"(limit {SUBSPACE_SCAN_LIMIT})")
-    # B is its own RREF, so a row lies in its span exactly when it equals
-    # its entries in the pivot columns times B
-    ell = mod.ell
-    actions = np.hstack([A.T for A in mod.action])
-    out = []
-    for B, pivots in _rref_subspaces(n, d, ell):
-        img = (B @ actions % ell).reshape(d * len(mod.action), n)
-        if (img == img[:, pivots] @ B % ell).all():
-            out.append(B)
-    return out
+    if d in (0, n):  # 0 and M need no lattice, so they stay within reach
+        return [np.eye(n, dtype=np.int64)[:d]]
+    return [B for B in submodule_lattice(mod) if len(B) == d]
 
 
 # -- extension quotients ------------------------------------------------------
@@ -401,6 +461,18 @@ class TwistedProduct:
         return vec @ self.powers * self.n + self.gmul[g, h]
 
 
+def _closed_word_coords(mod: GModule, words):
+    """Coordinates in M of the images of words closed at the identity coset."""
+    sd = mod.schreier
+    vecs = []
+    for word in words:
+        vec, end = sd.rewrite(word)
+        if end != 0:
+            raise CocycleError("cocycle word did not close")
+        vecs.append(vec)
+    return mod.project(np.reshape(vecs, (len(vecs), sd.num_schreier)))
+
+
 def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> ExtensionGroup:
     """Quotient of the triangle group by the preimage of the invariant U.
 
@@ -412,8 +484,9 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     action on the pairs.  |E| = |G| * ell^qdim is checked against the cap
     before any table is built.  The tables are rho(g) on M/U
     (|G| x ell^qdim vectors), the cocycle (|G|^2 vectors, filled by
-    `_cocycle_table` from the two rewritten generator rows and checked
-    against direct rewriting and the cocycle identity on sampled triples),
+    `_cocycle_table` from the generator rows that `GModule.cocycle_rows`
+    rewrites once per module, and checked against direct rewriting and the
+    cocycle identity on sampled triples),
     the digits of each code and G's multiplication table (|G|^2).
     """
     sd = mod.schreier
@@ -429,16 +502,12 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
             f"extension {label}: {n} × {ell}^{qdim} = {n * size} > cap {cap}")
     blockU = RU[:, freeU]
 
+    def modulo_U(vecs):
+        return _quotient_coords(vecs, blockU, pivotsU, freeU, ell)
+
     def word_vectors(words):
         """Vectors in M/U of the images of words closed at the identity coset."""
-        vecs = []
-        for word in words:
-            vec, end = sd.rewrite(word)
-            if end != 0:
-                raise CocycleError("cocycle word did not close")
-            vecs.append(vec)
-        vecs = mod.project(np.reshape(vecs, (len(vecs), sd.num_schreier)))
-        return _quotient_coords(vecs, blockU, pivotsU, freeU, ell)
+        return modulo_U(_closed_word_coords(mod, words))
 
     tree = sd.tree_word
 
@@ -450,13 +519,12 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     powers = ell ** np.arange(qdim, dtype=np.int64)
     digits = np.arange(size)[:, None] // powers % ell  # v of each code
     # rho(g)^T on M/U, stacked over g: a row vector times it is rho(g) v
-    rho_t = _quotient_coords(np.stack([mod.action_of(g)[:, freeU].T for g in range(n)]),
-                             blockU, pivotsU, freeU, ell)
+    rho_t = modulo_U(np.stack([mod.action_of(g)[:, freeU].T for g in range(n)]))
     everything = np.arange(n)
     gmul = G.products(np.repeat(everything, n), np.tile(everything, n)).reshape(n, n)
     gens = sd.gen_images
     coc = _cocycle_table(gmul, rho_t, ell,
-                         {s: direct([s] * n, everything) for s in gens})
+                         {s: modulo_U(row) for s, row in mod.cocycle_rows().items()})
     prod = TwistedProduct(n, ell, powers, digits, digits @ rho_t % ell, coc, gmul)
     _verify_cocycle(prod, direct)
     # x lifts to (the value of x sigma(gx)^-1, gx), and y likewise

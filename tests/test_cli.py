@@ -1,5 +1,6 @@
 import io
 import json
+from time import perf_counter
 
 import pytest
 
@@ -110,6 +111,44 @@ def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
     monkeypatch.setattr(group.RuleGroup, "_row", refuse)
     code, out = run_main(["census", "--max-genus", "17"], capsys)
     assert code == 0 and json.loads(out)["counts"]["17"] == 2
+
+
+def test_genus17_census_rewrites_generator_rows_once(capsys, monkeypatch):
+    # the two order-1344 quotients share one module, so the 2 x 168 words of
+    # its generator cocycle rows are rewritten for the first quotient only
+    calls = []
+    rewrite = homology.SchreierData.rewrite
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return rewrite(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.SchreierData, "rewrite", counting)
+    code, _ = run_main(["census", "--max-genus", "17"], capsys)
+    assert code == 0 and len(calls) == 1176
+
+
+def test_submodule_lattice_infeasible_exit_two(capsys):
+    code = cli.main(["homology", "--group", "psl2:13", "--ell", "2",
+                     "--invariant-dim", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("infeasible: submodule lattice: 2^28 vectors")
+    for part in ("ell = 2", "dim 28", f"limit {homology.SUBSPACE_SCAN_LIMIT}"):
+        assert part in captured.err
+
+
+@pytest.mark.parametrize("group,ell,dim,count", [
+    ("psl2:8", 2, 6, 1),  # 9.6e14 candidate subspaces for a scan
+    ("psl2:7", 7, 3, 1),
+])
+def test_submodule_lattice_beyond_the_scan(group, ell, dim, count, capsys):
+    start = perf_counter()
+    code, out = run_main(["homology", "--group", group, "--ell", str(ell),
+                          "--invariant-dim", str(dim)], capsys)
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["invariant_submodules"] == {"dim": dim, "count": count}
 
 
 def test_origami_genus_six(capsys):

@@ -9,9 +9,11 @@ from hurwitz import catalog, dessins, homology
 from hurwitz.fields import from_digits, to_digits
 from hurwitz.group import (FinGroup, cayley_labels, group_from_generators,
                            kernel_key, pair_isomorphic)
-from hurwitz.homology import (CocycleError, ScanInfeasibleError, extension_quotient,
+from hurwitz.homology import (SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
+                              ScanInfeasibleError, extension_quotient,
                               invariant_submodules, kernel_mod_ell_homology,
-                              klein_extension_groups, rref_mod, schreier_data)
+                              klein_extension_groups, rref_mod, schreier_data,
+                              submodule_lattice)
 from test_pair_iso import _evaluate, _word_map
 
 
@@ -193,11 +195,44 @@ def test_invariant_submodule_counts(klein):
 
 
 def _gaussian_binomial(n, d, ell):
+    """Number of d-dimensional subspaces of F_ell^n."""
     num = den = 1
     for i in range(d):
         num *= ell ** (n - i) - 1
         den *= ell ** (d - i) - 1
     return num // den
+
+
+def _rref_subspaces(n, d, ell):
+    """All d-dimensional subspaces of F_ell^n, one RREF basis each, with its
+    pivots: pivot tuples in lexicographic order, then the free entries in
+    `itertools.product` order."""
+    from itertools import combinations, product
+    for pivots in combinations(range(n), d):
+        pivots = list(pivots)
+        free = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, n) if c not in pivots]
+        rows = [i for i, _ in free]
+        cols = [c for _, c in free]
+        echelon = np.zeros((d, n), dtype=np.int64)
+        echelon[range(d), pivots] = 1
+        for values in product(range(ell), repeat=len(free)):
+            B = echelon.copy()
+            B[rows, cols] = values
+            yield B, pivots
+
+
+def _scan_invariant(mod, d):
+    """Oracle: the exhaustive subspace scan.  B is its own RREF, so a row
+    lies in its span exactly when it equals its pivot-column entries times B."""
+    n, ell = mod.dim, mod.ell
+    actions = np.hstack([A.T for A in mod.action])
+    out = []
+    for B, pivots in _rref_subspaces(n, d, ell):
+        img = (B @ actions % ell).reshape(d * len(mod.action), n)
+        if (img == img[:, pivots] @ B % ell).all():
+            out.append(B.tolist())
+    return out
 
 
 @pytest.mark.parametrize("ell,dims", [(2, range(7)), (3, (1, 2))])
@@ -206,7 +241,7 @@ def test_invariant_submodules_match_rank_oracle(klein, ell, dims):
     _, sd, mod2 = klein
     mod = mod2 if ell == 2 else kernel_mod_ell_homology(sd, ell)
     for d in dims:
-        candidates = list(homology._rref_subspaces(mod.dim, d, ell))
+        candidates = list(_rref_subspaces(mod.dim, d, ell))
         assert len(candidates) == _gaussian_binomial(mod.dim, d, ell)
         oracle = []
         for B, pivots in candidates:
@@ -218,13 +253,120 @@ def test_invariant_submodules_match_rank_oracle(klein, ell, dims):
         assert [B.tolist() for B in invariant_submodules(mod, d)] == oracle
 
 
+def _restricted(mod, U):
+    """The action of mod on its invariant subspace U, in U's RREF basis."""
+    _, pivots = rref_mod(U, mod.ell)
+    return [(U @ A.T % mod.ell)[:, pivots].T for A in mod.action]
+
+
+def _copies(mod, U, k):
+    """S^k for S the submodule U: block-diagonal copies of its action."""
+    eye = np.eye(k, dtype=np.int64)
+    action = [np.kron(eye, S) for S in _restricted(mod, U)]
+    return GModule(mod.ell, k * len(U), action, None, [])
+
+
+def _module(name):
+    if name == "C3 torus mod 3":
+        return _c3_mod_three()
+    if name.startswith("S^"):  # S is a 3-dim Klein factor
+        k, ell = int(name[2]), int(name.rsplit(" ", 1)[1])
+        mod = kernel_mod_ell_homology(_klein_schreier()[1], ell)
+        return _copies(mod, invariant_submodules(mod, 3)[0], k)
+    q, ell = {"PSL(2,7) mod 2": (7, 2), "PSL(2,7) mod 3": (7, 3),
+              "PSL(2,7) mod 7": (7, 7), "PSL(2,8) mod 2": (8, 2)}[name]
+    return kernel_mod_ell_homology(_psl2_schreier(q)[1], ell)
+
+
+def _powers_of_S(k, ell):
+    """Dimensions of the lattice of S^k, S absolutely irreducible of dim 3:
+    its submodules are the U (x) S for the subspaces U of F_ell^k.  S^2 has
+    ell + 1 diagonal copies of S; S^4 is not cyclic, so only sums reach it."""
+    return [3 * j for j in range(k + 1) for _ in range(_gaussian_binomial(k, j, ell))]
+
+
+# (module, dimensions of its lattice, in order)
+LATTICES = {
+    "PSL(2,7) mod 2": [0, 3, 3, 6],
+    "PSL(2,7) mod 3": [0, 6],
+    "PSL(2,7) mod 7": [0, 3, 6],
+    "PSL(2,8) mod 2": [0, 6, 7, 7, 7, 8, 14],
+    "C3 torus mod 3": [0, 1, 2],
+    "S^2 mod 2": _powers_of_S(2, 2),
+    "S^2 mod 7": _powers_of_S(2, 7),
+    "S^4 mod 2": _powers_of_S(4, 2),
+}
+SCAN_BOUND = 20_000  # candidates the oracle scans per dimension
+
+
+@pytest.fixture(scope="module", params=LATTICES)
+def lattice_case(request):
+    """A named module and its submodule lattice."""
+    mod = _module(request.param)
+    return request.param, mod, submodule_lattice(mod)
+
+
+def test_lattice_matches_scan_oracle(lattice_case):
+    """Wherever the exhaustive scan is feasible, the lattice agrees with it,
+    in the scan's order; below the bound every dimension is compared."""
+    name, mod, lattice = lattice_case
+    assert [len(B) for B in lattice] == LATTICES[name]
+    scanned = [d for d in range(mod.dim + 1)
+               if _gaussian_binomial(mod.dim, d, mod.ell) <= SCAN_BOUND]
+    assert scanned[0] == 0 and scanned[-1] == mod.dim
+    for d in scanned:
+        oracle = _scan_invariant(mod, d)
+        assert [B.tolist() for B in lattice if len(B) == d] == oracle
+        assert [B.tolist() for B in invariant_submodules(mod, d)] == oracle
+
+
+def _perp(B, n, ell):
+    """RREF basis of the annihilator {w : B w = 0} of the rows of B."""
+    R, pivots = rref_mod(np.reshape(B, (-1, n)), ell)
+    free = [c for c in range(n) if c not in pivots]
+    W = np.zeros((len(free), n), dtype=np.int64)
+    for j, f in enumerate(free):
+        W[j, f] = 1
+        W[j, pivots] = -R[:, f] % ell
+    return rref_mod(W, ell)[0]
+
+
+def _keys(mats):
+    return {(len(B), B.tobytes()) for B in mats}
+
+
+def test_lattice_of_dual_is_the_annihilators(lattice_case):
+    """The dual module, where g acts by (A^-1)^T, has the submodules U^perp."""
+    _, mod, lattice = lattice_case
+    n, ell = mod.dim, mod.ell
+    dual = GModule(ell, n, [homology._matinv(A, ell).T.copy() for A in mod.action],
+                   None, [])
+    annihilators = [_perp(U, n, ell) for U in lattice]
+    assert _keys(submodule_lattice(dual)) == _keys(annihilators)
+    assert len(_keys(annihilators)) == len(lattice)
+
+
+def test_lattice_closed_under_intersection(lattice_case):
+    _, mod, lattice = lattice_case
+    n, ell = mod.dim, mod.ell
+    keys = _keys(lattice)
+    for U in lattice:
+        for W in lattice:
+            meet = _perp(np.vstack([_perp(U, n, ell), _perp(W, n, ell)]), n, ell)
+            assert (len(meet), meet.tobytes()) in keys
+
+
 def test_invariant_submodules_infeasible_scan():
-    G = catalog.psl2(8)
-    t = dessins.enumerate_triples(G, (2, 3, 7))[0].representative
-    sd = schreier_data((2, 3, 7), G, t.x, t.y)
+    _, sd = _psl2_schreier(13)
     mod = kernel_mod_ell_homology(sd, 2)
-    with pytest.raises(ScanInfeasibleError):
+    assert 2 ** mod.dim > SUBSPACE_SCAN_LIMIT
+    with pytest.raises(ScanInfeasibleError,
+                       match=r"^submodule lattice: 2\^28 vectors \(PSL\(2,13\), "
+                             r"ell = 2, dim 28\) exceed the limit 2000000$"):
         invariant_submodules(mod, 7)
+    # 0 and M need no lattice
+    assert [len(B) for B in invariant_submodules(mod, 0)] == [0]
+    assert (invariant_submodules(mod, 28)[0] == np.eye(28, dtype=np.int64)).all()
 
 
 def test_extension_by_full_module_is_base(klein):
