@@ -205,10 +205,9 @@ class GModule:
         if self._coc_rows is None:
             sd = self.schreier
             tree, mul = sd.tree_word, sd.group.mul
-            self._coc_rows = {
-                s: _closed_word_coords(self, [tree[s] + tree[h] + _word_inverse(tree[mul(s, h)])
-                                              for h in range(sd.group.order)])
-                for s in sd.gen_images}
+            self._coc_rows = {s: _closed_word_coords(
+                self, [tree[s] + tree[h] + _word_inverse(tree[mul(s, h)])
+                       for h in range(sd.group.order)]) for s in sd.gen_images}
         return self._coc_rows
 
     def fixed_subspace_dim(self) -> int:
