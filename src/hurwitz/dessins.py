@@ -85,14 +85,15 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
     order (results weighted by class size) and y over all matching elements,
     keeps the candidates with order(xy) matching r, and classifies them by
     the canonical Cayley key `kernel_key(G, (x, y))`.  Each class keeps its
-    first candidate in scan order.
+    first candidate in scan order.  Its `batch` is the table of products xy
+    of a chunk of representatives xs with every y, one `products` call.
     """
     p, q, r = type_
     orders = np.array(G.element_orders())
     ys = np.flatnonzero(_order_matches(orders, q, mode))
     inv_idx = G.inverse_indices()
     found = classify_pairs(G, _order_matches(orders, p, mode), ys,
-                           lambda x: G.products(np.full(len(ys), x), ys),
+                           lambda xs: G.product_table(xs, ys),
                            _order_matches(orders, r, mode))
     out = []
     for (x, y, xy), weight in found:

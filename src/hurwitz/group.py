@@ -16,6 +16,7 @@ import numpy as np
 from .perms import identity, pmul
 
 DEFAULT_CAP = 200_000
+BATCH = 1 << 14  # entries per `products` batch of `classify_pairs`, unless |G| is more
 
 
 class CapExceededError(RuntimeError):
@@ -76,6 +77,13 @@ class FinGroup:
         images = self._element_array()[np.asarray(I, dtype=np.intp)[:, None],
                                        self._base_columns.take(J, axis=0)]
         return self._lookup(images)
+
+    def product_table(self, A, B):
+        """The (len(A), len(B)) array of the products elements[a] * elements[b],
+        from one `products` batch."""
+        A, B = np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)
+        I, J = np.repeat(A, len(B)), np.repeat(B[None], len(A), axis=0).ravel()
+        return self.products(I, J).reshape(len(A), -1)
 
     def _element_array(self):
         """The n x degree element array, built on first use together with
@@ -501,10 +509,9 @@ def kernel_key(G: FinGroup, gens):
 
     Equal keys mean exactly that gens1 -> gens2 extends to an isomorphism,
     i.e. that the two epimorphisms from the free group have equal kernels.
-    The tables come from one batch product per generator.
+    The tables come from one `product_table` batch.
     """
-    rows = np.arange(G.order)
-    tables = [G.products(rows, np.full(G.order, s)).tolist() for s in gens]
+    tables = G.product_table(np.arange(G.order), list(gens)).T.tolist()
     key = tuple(cayley_labels(tables))
     return key if len(key) == len(gens) * G.order else None
 
@@ -513,58 +520,82 @@ def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
     """Automorphism classes of generating pairs (x, y) filtered by element orders.
 
     x runs over the conjugacy-class representatives with x_ok[x], y over the
-    index array ys.  batch(x) is the index array of one product w per y, and
-    the pairs with w_ok[w] are the candidates of x.  x_ok and w_ok are
-    boolean arrays over the elements; they and the set ys must be class
-    functions, and batch(x) C_G(x)-equivariant (y^c gets w^c), so the
-    candidates of x are a union of C_G(x)-orbits under conjugation (a
-    ValueError says when they are not).  Conjugation by C_G(x) fixes x, so
-    only the first candidate of each orbit is keyed by `kernel_key(G, (x,
-    y))`, which is None for non-generating pairs and equal exactly for pairs
-    related by an automorphism, and it adds len(cls) * |orbit| to its key's
-    weight.  Returns [(x, y, w), weight] per key, each with its first
-    candidate in scan order, which is the first of that candidate's orbit.
+    index array ys.  batch(xs) is the (len(xs), len(ys)) array of the
+    products w of the representatives xs with every y, and the pairs with
+    w_ok[w] are the candidates of x.  x_ok and w_ok are boolean arrays over
+    the elements; they and the set ys must be class functions, and w
+    C_G(x)-equivariant (y^c gets w^c), so the candidates of x are a union of
+    C_G(x)-orbits under conjugation (a ValueError says when they are not).
+    Conjugation by C_G(x) fixes x, so only the first candidate of each orbit
+    is keyed, as by `kernel_key(G, (x, y))`, which is None for
+    non-generating pairs and equal exactly for pairs related by an
+    automorphism, and it adds len(cls) * |orbit| to its key's weight.
+    Returns [(x, y, w), weight] per key, each with its first candidate in
+    scan order, which is the first of that candidate's orbit.
+
+    No `products` batch holds more than max(BATCH, |G|) entries: per chunk
+    of BATCH // |G| representatives, one `batch` call and one pair of batches
+    for their right-multiplication tables and centralizers (u*x == x*u); the
+    orbits' first candidates take their tables in chunks of as many rows.
     """
     n = G.order
     rows = np.arange(n)
     inverses = np.array(G.inverse_indices())
+    reps = [(cls[0], len(cls)) for cls in G.conjugacy_classes() if x_ok[cls[0]]]
+    per_chunk = max(1, BATCH // n)
     found = {}  # kernel key -> [(x, y, w), weight]
-    for cls in G.conjugacy_classes():
-        x = cls[0]
-        if not x_ok[x]:
-            continue
-        ws = batch(x)
+    for start in range(0, len(reps), per_chunk):
+        chunk = reps[start:start + per_chunk]
+        xs = np.array([x for x, _ in chunk], dtype=np.intp)
+        ws = batch(xs)
         keep = w_ok[ws]
-        if not keep.any():
-            continue
-        cand, k = ys[keep], int(keep.sum())
-        right_x = G.products(rows, np.full(n, x))
-        cent = np.flatnonzero(right_x == G.products(np.full(n, x), rows))
-        pos = np.full(n, k)  # position in cand, k for no candidate
-        pos[cand] = np.arange(k)
-        seen = np.zeros(k, dtype=bool)
-        right_x, cent_inv = right_x.tolist(), inverses[cent]
-        for j in range(k):
-            if seen[j]:
-                continue
-            y = int(cand[j])  # the first of its orbit {c^-1 * y * c}
-            orbit = pos[G.products(G.products(cent_inv, np.full(len(cent), y)), cent)]
-            if (orbit == k).any():
-                raise ValueError(f"the candidates of x = {x} in {G.name} are "
-                                 "not a union of C_G(x)-orbits")
-            seen[orbit] = True
-            right_y = G.products(rows, np.full(n, y)).tolist()
-            key = tuple(cayley_labels([right_x, right_y]))
-            if len(key) < 2 * n:
-                continue
-            # |orbit| = |C_G(x)| / |stabilizer of y|
-            weight = len(cls) * (len(cent) // int(np.count_nonzero(orbit == j)))
-            rec = found.get(key)
-            if rec is not None:
-                rec[1] += weight
-            else:
-                found[key] = [(x, y, int(ws[keep][j])), weight]
+        right, left = G.product_table(rows, xs).T, G.product_table(xs, rows)
+        firsts = []  # (x's row, (x, y, w), weight) per orbit, in scan order
+        for i, (x, size) in enumerate(chunk):
+            cent = np.flatnonzero(right[i] == left[i])
+            cand, cand_w = ys[keep[i]], ws[i][keep[i]]
+            for j, stab in _orbit_firsts(G, x, cand, cent, inverses[cent]):
+                firsts.append((i, (x, int(cand[j]), int(cand_w[j])),
+                               size * (len(cent) // stab)))
+        right = right.tolist()
+        for at in range(0, len(firsts), per_chunk):
+            part = firsts[at:at + per_chunk]
+            tables = G.product_table(rows, [y for _, (_, y, _), _ in part]).T
+            for (i, pair, weight), right_y in zip(part, tables.tolist()):
+                key = tuple(cayley_labels([right[i], right_y]))
+                if len(key) == 2 * n:
+                    found.setdefault(key, [pair, 0])[1] += weight
     return list(found.values())
+
+
+def _orbit_firsts(G: FinGroup, x, cand, cent, cent_inv):
+    """(position, |stabilizer|) of the first candidate of each C_G(x)-orbit.
+
+    A block of the next BATCH // |C_G(x)| unseen candidates is conjugated by
+    all of C_G(x) in one pair of batches.  An unseen candidate's orbit is
+    unseen, so the least position in its row is the first of its orbit, and
+    the count of its own position there is its stabilizer's order.  Orbits
+    hold up to |C_G(x)| candidates (whole classes for a central x), so when
+    |C_G(x)|^2 > BATCH a block is one candidate, lest it repeat orbits."""
+    k, c = len(cand), len(cent)
+    pos = np.full(G.order, k)  # position in cand, k for no candidate
+    pos[cand] = np.arange(k)
+    seen = np.zeros(k, dtype=bool)
+    per_block = BATCH // c if c * c <= BATCH else 1
+    out = []
+    while not seen.all():
+        block = np.flatnonzero(~seen)[:per_block]
+        right = G.product_table(cand[block], cent).ravel()
+        left = np.repeat(cent_inv[None], len(block), axis=0).ravel()
+        orbits = pos[G.products(left, right)].reshape(-1, c)
+        if (orbits == k).any():
+            raise ValueError(f"the candidates of x = {x} in {G.name} are "
+                             "not a union of C_G(x)-orbits")
+        seen[orbits] = True
+        first = orbits.min(axis=1) == block
+        stab = np.count_nonzero(orbits == block[:, None], axis=1)
+        out += zip(block[first].tolist(), stab[first].tolist())
+    return out
 
 
 def pair_isomorphic(G: FinGroup, pair1, pair2, H: FinGroup | None = None) -> bool:

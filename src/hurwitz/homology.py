@@ -310,11 +310,17 @@ def _matinv(A, ell):
 
 # -- invariant submodules -----------------------------------------------------
 
-SUBSPACE_SCAN_LIMIT = 2_000_000  # the most vectors (ell^dim) the lattice labels
+SUBSPACE_SCAN_LIMIT = 2_000_000  # the most vectors (ell^dim) or lines listed
 
 
 class ScanInfeasibleError(RuntimeError):
-    """The module has more vectors than the submodule lattice labels."""
+    """The module has more vectors, or invariant lines, than the limit."""
+
+
+def _infeasible(mod: GModule, what) -> ScanInfeasibleError:
+    name = mod.schreier.group.name if mod.schreier else "module"
+    return ScanInfeasibleError(f"{what} ({name}, ell = {mod.ell}, dim {mod.dim}) "
+                               f"exceed the limit {SUBSPACE_SCAN_LIMIT}")
 
 
 def _code_tables(mats, ell, n):
@@ -380,10 +386,7 @@ def submodule_lattice(mod: GModule):
     """
     n, ell = mod.dim, mod.ell
     if ell ** n > SUBSPACE_SCAN_LIMIT:
-        name = mod.schreier.group.name if mod.schreier else "module"
-        raise ScanInfeasibleError(
-            f"submodule lattice: {ell}^{n} vectors ({name}, ell = {ell}, "
-            f"dim {n}) exceed the limit {SUBSPACE_SCAN_LIMIT}")
+        raise _infeasible(mod, f"submodule lattice: {ell}^{n} vectors")
     root = Fq(ell).generator()
     mats = list(mod.action)
     if root > 1:  # F_2^* is trivial
@@ -404,13 +407,52 @@ def submodule_lattice(mod: GModule):
 
 
 def invariant_submodules(mod: GModule, d: int):
-    """The G-invariant d-dimensional subspaces, filtered from the lattice."""
+    """The G-invariant d-dimensional subspaces in `_scan_order`: lines and
+    hyperplanes from eigenspaces, the others filtered from the lattice."""
     n = mod.dim
     if not 0 <= d <= n:
         raise ValueError(f"dimension {d} outside 0..{n}")
     if d in (0, n):  # 0 and M need no lattice, so they stay within reach
         return [np.eye(n, dtype=np.int64)[:d]]
+    if d == 1:
+        return _invariant_lines(mod, mod.action, "lines")
+    if d == n - 1:  # (A^T f) . w = f . (A w): the annihilators of A^T-invariant lines
+        lines = _invariant_lines(mod, [A.T for A in mod.action], "hyperplanes")
+        return sorted((_null_space(f, mod.ell) for f in lines), key=_scan_order)
     return [B for B in submodule_lattice(mod) if len(B) == d]
+
+
+def _null_space(A, ell):
+    """RREF basis of {v : A v = 0}: with R the RREF of A, row j of I - R^T
+    (at R's pivot columns) is 0 for a pivot j, else the null vector of j."""
+    R, pivots = rref_mod(A, ell)
+    N = np.eye(A.shape[1], dtype=np.int64)
+    N[:, pivots] -= R.T
+    return rref_mod(N, ell)[0]
+
+
+def _invariant_lines(mod: GModule, actions, what):
+    """RREF bases of the lines invariant under `actions`, in `_scan_order`:
+    the lines of the common eigenspaces ker[A_s - lambda_s I], one for each
+    tuple of eigenvalues in (F_ell^*)^#actions, found one action at a time
+    (`stacks` holds the equations of the nonzero ones so far).  For an RREF
+    basis K and c with first nonzero entry 1, c K is the RREF basis of its line."""
+    n, ell = mod.dim, mod.ell
+    eye = np.eye(n, dtype=np.int64)
+    stacks = [eye[:0]]
+    for A in actions:
+        stacks = [S for T in stacks for lam in range(1, ell)
+                  if len(_null_space(S := np.vstack([T, A - lam * eye]), ell))]
+    spaces = [_null_space(S, ell) for S in stacks]
+    count = sum((ell ** len(K) - 1) // (ell - 1) for K in spaces)
+    if count > SUBSPACE_SCAN_LIMIT:
+        raise _infeasible(mod, f"invariant {what}: {count} {what}")
+    lines = []
+    for K in spaces:
+        C = np.arange(1, ell ** len(K))[:, None] // ell ** np.arange(len(K))[::-1] % ell
+        C = C[C[np.arange(len(C)), np.argmax(C != 0, axis=1)] == 1]
+        lines += list((C @ K % ell)[:, None, :])
+    return sorted(lines, key=_scan_order)
 
 
 # -- extension quotients ------------------------------------------------------
@@ -520,7 +562,7 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     # rho(g)^T on M/U, stacked over g: a row vector times it is rho(g) v
     rho_t = modulo_U(np.stack([mod.action_of(g)[:, freeU].T for g in range(n)]))
     everything = np.arange(n)
-    gmul = G.products(np.repeat(everything, n), np.tile(everything, n)).reshape(n, n)
+    gmul = G.product_table(everything, everything)
     gens = sd.gen_images
     coc = _cocycle_table(gmul, rho_t, ell,
                          {s: modulo_U(row) for s, row in mod.cocycle_rows().items()})

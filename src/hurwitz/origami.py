@@ -54,8 +54,10 @@ def enumerate_origami_pairs(G: FinGroup):
     by class size) and b over all elements, keeps the pairs whose commutator
     has order 2, and classifies them by the canonical Cayley key
     `kernel_key(G, (a, b))`.  Each class keeps its first candidate in scan
-    order.  Every commutator lies in the derived subgroup, so a group whose
-    derived subgroup has no involution is not scanned.
+    order.  Its `batch` gives the commutators of a chunk of representatives
+    with every b in three `products` calls.  Every commutator lies in the
+    derived subgroup, so a group whose derived subgroup has no involution
+    is not scanned.
     """
     if G.order % 4 != 0:
         return []
@@ -63,12 +65,12 @@ def enumerate_origami_pairs(G: FinGroup):
     if not (orders[G.commutator_subgroup()] == 2).any():
         return []
     bs = np.arange(G.order)
-    b_inverses = np.array(G.inverse_indices())
+    inverses = np.array(G.inverse_indices())
 
-    def commutators(a):
-        # [a, b] = (a^-1 b^-1)(a b) for every b at once
-        left = G.products(np.full(G.order, G.inv(a)), b_inverses)
-        return G.products(left, G.products(np.full(G.order, a), bs))
+    def commutators(reps):
+        # [a, b] = (a^-1 b^-1)(a b) for every a in reps and every b at once
+        left = G.product_table(inverses[reps], inverses).ravel()
+        return G.products(left, G.product_table(reps, bs).ravel()).reshape(len(reps), -1)
 
     g = origami_genus(G.order)
     found = classify_pairs(G, np.ones(G.order, dtype=bool), bs, commutators,

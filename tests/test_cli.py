@@ -151,6 +151,20 @@ def test_submodule_lattice_beyond_the_scan(group, ell, dim, count, capsys):
     assert json.loads(out)["invariant_submodules"] == {"dim": dim, "count": count}
 
 
+@pytest.mark.parametrize("dim", [1, 7])
+def test_invariant_lines_beyond_the_lattice(dim, capsys):
+    """S5's module mod 7 has 7^8 vectors, beyond the lattice, but its lines
+    and hyperplanes come from eigenspaces.  An exhaustive scan of the 960,800
+    lines of F_7^8 and of its dual finds no invariant one."""
+    assert 7 ** 8 > homology.SUBSPACE_SCAN_LIMIT
+    code, out = run_main(["homology", "--group", "sym:5", "--type", "2,4,5",
+                          "--ell", "7", "--invariant-dim", str(dim)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["dim"] == 8
+    assert report["invariant_submodules"] == {"dim": dim, "count": 0}
+
+
 def test_origami_genus_six(capsys):
     code, out = run_main(["origami", "--genus", "6"], capsys)
     assert code == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import arith, catalog, dessins, homology, origami
+from hurwitz import arith, catalog, dessins, group, homology, origami
 from hurwitz.dessins import enumerate_triples
 from hurwitz.group import (CapExceededError, classify_pairs, commutator_subgroup,
                            conjugacy_classes, generates, group_from_generators,
@@ -287,7 +287,7 @@ def _keyed_candidates(G, x_ok, ys, batch, w_ok):
         x = cls[0]
         if not x_ok[x]:
             continue
-        ws = batch(x)
+        ws = batch(np.array([x]))[0]
         keep = w_ok[ws]
         for y, w in zip(ys[keep].tolist(), ws[keep].tolist()):
             yield (x, y, w), kernel_key(G, (x, y)), len(cls)
@@ -322,6 +322,9 @@ PRUNED_CASES = {
     "S4": (lambda: catalog.symmetric(4), (2, 3, 4), "exact"),
     "dic:5": (lambda: catalog.dicyclic(5), (4, 4, 5), "exact"),
     "C8:C2(t=5)": (lambda: catalog.metacyclic(8, 5), (2, 8, 8), "exact"),
+    # central x: C_G(x) = G, so the orbits are whole classes
+    "SL(2,11) central": (lambda: catalog.sl2(11), (2, 5, 10), "exact"),
+    "C2xC70 central": (lambda: catalog.abelian([2, 70]), (2, 70, 70), "exact"),
     "2^3.PSL(2,7)#1": (lambda: homology.klein_extension_groups()[0].group,
                        (2, 3, 7), "exact"),
     "origami genus 7": (lambda: origami_existence(7).witness.group, None, None),
@@ -331,9 +334,12 @@ PRUNED_CASES = {
 }
 
 
-@pytest.mark.parametrize("build,type_,mode", PRUNED_CASES.values(),
-                         ids=PRUNED_CASES.keys())
-def test_pruned_scan_matches_unpruned_oracle(build, type_, mode, monkeypatch):
+# x = -I is the only involution and ys = -y of order 10 never generate, so
+# the scans find no class: the oracle comparison is all these cases check
+NO_CLASSES = {"SL(2,11) central"}
+
+
+def _check_pruned_scan(name, monkeypatch):
     scans = []
 
     def checked(G, *args):
@@ -344,12 +350,64 @@ def test_pruned_scan_matches_unpruned_oracle(build, type_, mode, monkeypatch):
 
     monkeypatch.setattr(dessins, "classify_pairs", checked)
     monkeypatch.setattr(origami, "classify_pairs", checked)
+    build, type_, mode = PRUNED_CASES[name]
     G = build()
     if type_ is not None:
-        assert enumerate_triples(G, type_, mode)
-        assert scans
+        classes = enumerate_triples(G, type_, mode)
+        assert scans and bool(classes) == (name not in NO_CLASSES)
     enumerate_origami_pairs(G)
-    assert any(scans)
+    assert any(scans) == (name not in NO_CLASSES)
+
+
+@pytest.mark.parametrize("name", PRUNED_CASES)
+def test_pruned_scan_matches_unpruned_oracle(name, monkeypatch):
+    _check_pruned_scan(name, monkeypatch)
+
+
+@pytest.mark.parametrize("name", PRUNED_CASES)
+def test_small_batches_match_unpruned_oracle(name, monkeypatch):
+    """With BATCH = 64 the representatives, the orbit blocks and the tables
+    all take several batches, and a centralizer above 8 elements takes one
+    candidate per block."""
+    monkeypatch.setattr(group, "BATCH", 64)
+    _check_pruned_scan(name, monkeypatch)
+
+
+def _batch_sizes(G, run, monkeypatch):
+    """The lengths of the `products` batches made inside `classify_pairs`."""
+    sizes, inside = [], []
+    products = group.FinGroup.products
+
+    def recording(self, I, J):
+        if inside:
+            sizes.append(len(I))
+        return products(self, I, J)
+
+    def scan(*args):
+        inside.append(True)
+        try:
+            return classify_pairs(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(group.FinGroup, "products", recording)
+    monkeypatch.setattr(dessins, "classify_pairs", scan)
+    monkeypatch.setattr(origami, "classify_pairs", scan)
+    run(G)
+    return sizes
+
+
+@pytest.mark.parametrize("batch", [group.BATCH, 64])
+@pytest.mark.parametrize("build,run", [
+    (lambda: catalog.sl2(11), lambda G: enumerate_triples(G, (2, 5, 10))),
+    (lambda: catalog.psl2(29), lambda G: enumerate_triples(G, (2, 3, 7))),
+    (lambda: catalog.psl2(13), enumerate_origami_pairs),
+], ids=["SL(2,11) central", "PSL(2,29)", "origami PSL(2,13)"])
+def test_classify_pairs_batches_stay_bounded(build, run, batch, monkeypatch):
+    monkeypatch.setattr(group, "BATCH", batch)
+    G = build()
+    sizes = _batch_sizes(G, run, monkeypatch)
+    assert sizes and max(sizes) <= max(batch, G.order)
 
 
 def test_pruned_scan_refuses_candidates_that_are_not_orbit_unions():
@@ -358,7 +416,8 @@ def test_pruned_scan_refuses_candidates_that_are_not_orbit_unions():
     ys = np.flatnonzero(orders == 3)[:1]  # one element, not its class
     with pytest.raises(ValueError, match="union of C_G"):
         classify_pairs(G, orders == 2, ys,
-                       lambda x: G.products(np.full(len(ys), x), ys),
+                       lambda xs: G.products(np.repeat(xs, len(ys)),
+                                             np.tile(ys, len(xs))).reshape(len(xs), -1),
                        np.ones(G.order, dtype=bool))
 
 
@@ -431,7 +490,9 @@ def test_branch_cycle_orbits_match_congruence_curves(q, ell, orbit_size):
     inverses = G.inverse_indices()
     aut_orbits = defaultdict(set)  # kernel key -> Aut(G).T
     for (x, y, w), key, _ in _keyed_candidates(
-            G, orders == 2, ys, lambda x: G.products(np.full(len(ys), x), ys),
+            G, orders == 2, ys,
+            lambda xs: G.products(np.repeat(xs, len(ys)),
+                                  np.tile(ys, len(xs))).reshape(len(xs), -1),
             orders == 7):
         if key is not None:
             aut_orbits[key].add((G.class_of(x), G.class_of(y), G.class_of(inverses[w])))

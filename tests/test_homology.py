@@ -369,6 +369,40 @@ def test_invariant_submodules_infeasible_scan():
     assert (invariant_submodules(mod, 28)[0] == np.eye(28, dtype=np.int64)).all()
 
 
+def _plus_trivial(mod, k):
+    """mod + F_ell^k, with G acting trivially on the second summand."""
+    n = mod.dim + k
+    action = []
+    for A in mod.action:
+        B = np.eye(n, dtype=np.int64)
+        B[:mod.dim, :mod.dim] = A
+        action.append(B)
+    return GModule(mod.ell, n, action, None, [])
+
+
+@pytest.mark.parametrize("name,k", [("PSL(2,7) mod 7", 0), ("PSL(2,7) mod 7", 1),
+                                    ("C3 torus mod 3", 2)])
+def test_lines_and_hyperplanes_beyond_the_lattice(name, k, monkeypatch):
+    """Lines and hyperplanes do not need the lattice: with the limit below
+    ell^dim they still answer, and agree with the lattice at the normal limit."""
+    mod = _plus_trivial(_module(name), k)
+    n, ell = mod.dim, mod.ell
+    lattice = submodule_lattice(mod)
+    expected = {d: [B.tolist() for B in lattice if len(B) == d] for d in (1, n - 1)}
+    monkeypatch.setattr(homology, "SUBSPACE_SCAN_LIMIT", ell ** n - 1)
+    with pytest.raises(ScanInfeasibleError, match="^submodule lattice: "):
+        submodule_lattice(mod)
+    for d in (1, n - 1):
+        assert [B.tolist() for B in invariant_submodules(mod, d)] == expected[d]
+    lines = len(expected[1])
+    if lines:  # a limit below the count of lines is refused with the count
+        monkeypatch.setattr(homology, "SUBSPACE_SCAN_LIMIT", lines - 1)
+        message = (rf"^invariant lines: {lines} lines \(module, ell = {ell}, "
+                   rf"dim {n}\) exceed the limit {lines - 1}$")
+        with pytest.raises(ScanInfeasibleError, match=message):
+            invariant_submodules(mod, 1)
+
+
 def test_extension_by_full_module_is_base(klein):
     G, _, mod = klein
     full = invariant_submodules(mod, 6)[0]

@@ -91,3 +91,21 @@ def test_existence_rejects_genus_below_two():
 def test_existence_order_mismatch_rejected():
     with pytest.raises(ValueError):
         origami_existence(3, groups=[catalog.cyclic(4)])
+
+
+def test_genus_17_witness_scan_batches_its_products():
+    """The classification of the genus-17 witness group takes its products in
+    a few batches: 1,320 `products` calls when every C_G(x)-orbit took its
+    own, 55 with the representatives, orbits and tables batched."""
+    G = origami_existence(17).witness.group
+    assert G.name == "C32:C2(t=17)"
+    calls = []
+    products = G.products
+
+    def counting(I, J):
+        calls.append(len(I))
+        return products(I, J)
+
+    G.products = counting
+    assert enumerate_origami_pairs(G)
+    assert len(calls) < 100
