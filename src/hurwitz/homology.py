@@ -3,9 +3,12 @@
 Given the presentation <x, y | x^p, y^q, (xy)^r> and an epimorphism onto a
 finite group G, the kernel's coset space is G itself (the regular action),
 so no coset enumeration is needed.  A BFS spanning tree of the Cayley
-graph yields Schreier generators; each relator, rewritten once per relator
-cycle, gives a sparse relation mod ell, and their sparse RREF leaves the
-kernel's mod-ell homology as a G-module.  Invariant submodules then produce
+graph, built one level at a time, yields Schreier generators.  A relator
+w^k rewritten from the cosets of one cycle of right multiplication by w
+gives one relation mod ell; those of x^p and y^q are multiples of disjoint
+indicator vectors and are solved in closed form, so only the (xy)^r
+relations reach the sparse RREF, which leaves the kernel's mod-ell
+homology as a G-module.  Invariant submodules then produce
 extension quotients via an explicit 2-cocycle, which is how the genus-17
 Hurwitz groups are built from the Klein-quartic kernel.
 """
@@ -13,13 +16,11 @@ Hurwitz groups are built from the Klein-quartic kernel.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import (DEFAULT_CAP, CapExceededError, FinGroup, generates,
-                    group_from_rule)
+from .group import DEFAULT_CAP, CapExceededError, FinGroup, group_from_rule
 from .fields import Fq, is_prime, to_digits
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
@@ -82,34 +83,42 @@ class SchreierData:
 
 
 def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
-    """Schreier data for the kernel of x -> gx, y -> gy on the triangle type."""
-    if not generates(G, (gx, gy)):
-        raise ValueError("images do not generate the group")
+    """Schreier data for the kernel of x -> gx, y -> gy on the triangle type.
+
+    The BFS runs one level at a time: the moves (x, x^-1, y, y^-1) from the
+    last level's cosets, read in the order of the coset and then of the
+    move, reach each new coset first from its parent in the one-at-a-time
+    BFS.  The tree spans all |G| cosets exactly when gx, gy generate G.
+    """
     right = [G.right_mult_table(gx), G.right_mult_table(gy)]
     inv_x, inv_y = G.inv(gx), G.inv(gy)
     right_inv = [G.right_mult_table(inv_x), G.right_mult_table(inv_y)]
     n = G.order
+    moves = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
+    targets = np.array([right[X], right_inv[X], right[Y], right_inv[Y]])
+    found = np.zeros(n, dtype=bool)
+    found[0] = True
+    tree = np.zeros((n, 2), dtype=bool)  # (coset, gen) edges in the tree
+    level, levels = np.zeros(1, dtype=np.int64), []
+    while len(level):
+        reach = targets[:, level].T.ravel()
+        fresh = np.flatnonzero(~found[reach])
+        _, first = np.unique(reach[fresh], return_index=True)
+        step = fresh[np.sort(first)]
+        src, move = level[step // 4], step % 4
+        level = reach[step]
+        found[level] = True
+        # the edge of u -> u*g is (u, g); of u -> u*g^-1 = v, it is (v, g)
+        tree[np.where(move % 2, level, src), move // 2] = True
+        levels.append((level, src, move))
+    if not found.all():
+        raise ValueError("images do not generate the group")
     tree_word = [None] * n
     tree_word[0] = []
-    tree_edges = set()  # (coset, gen) pairs whose positive edge lies in the tree
-    queue = [0]
-    qpos = 0
-    moves = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
-    while qpos < len(queue):
-        u = queue[qpos]
-        qpos += 1
-        for g, s in moves:
-            if s > 0:
-                v = right[g][u]
-                edge = (u, g)
-            else:
-                v = right_inv[g][u]
-                edge = (v, g)
-            if tree_word[v] is None:
-                tree_word[v] = tree_word[u] + [(g, s)]
-                tree_edges.add(edge)
-                queue.append(v)
-    columns = [(u, g) for u in range(n) for g in (X, Y) if (u, g) not in tree_edges]
+    for level, src, move in levels:
+        for v, u, m in zip(level.tolist(), src.tolist(), move.tolist()):
+            tree_word[v] = tree_word[u] + [moves[m]]
+    columns = [divmod(f, 2) for f in np.flatnonzero(~tree.ravel()).tolist()]
     column = {ug: j for j, ug in enumerate(columns)}
     return SchreierData(G, tuple(type_), (gx, gy), right, right_inv,
                         tree_word, column, columns)
@@ -175,8 +184,9 @@ def _quotient_coords(vec, block, pivots, free, ell):
 class GModule:
     """Mod-ell homology of the kernel, as matrices acting for each generator.
 
-    Coordinates are the free columns of the sparse RREF R of the relations,
-    one per relator cycle; `project` maps to them by the cached R[:, free].
+    Coordinates are the free columns of the RREF R of the relations (one
+    per relator cycle, see `kernel_mod_ell_homology`); `project` maps to
+    them by the cached block R[:, free], whose rows are in pivot order.
     """
     ell: int
     dim: int
@@ -217,36 +227,93 @@ class GModule:
         return self.dim - len(pivots)
 
 
-def cycle_relations(sd: SchreierData):
-    """Yield the relations as Counter rows, one per relator cycle: a relator
-    w^k rewritten from u and from u*w gives the same row, so each cycle of
-    right multiplication by w (x, y or xy) is rewritten from one coset only."""
-    for rel, k in zip(sd.relator_words(), sd.type):
-        seen = bytearray(sd.group.order)
-        for u in range(sd.group.order):
-            if not seen[u]:
-                vec, end = Counter(), u
-                for _ in range(k):
-                    seen[end] = 1
-                    vec, end = sd.rewrite(rel[:len(rel) // k], end, vec)
-                if end != u:
-                    raise RuntimeError("relator trace did not return to its coset")
-                yield vec
+def _cycles(perm, exponent):
+    """The least coset on each coset's cycle of the permutation perm, whose
+    cycles (right multiplication in the regular action) all have one length
+    d; the relator perm^exponent holds there iff d divides the exponent."""
+    least, u = np.arange(len(perm)), perm
+    d = 1
+    while u[0] != 0:
+        least = np.minimum(least, u)
+        u, d = perm[u], d + 1
+    if exponent % d:
+        raise RuntimeError("relator trace did not return to its coset")
+    return least, d
+
+
+def _relations(sd: SchreierData, ell: int):
+    """The relations mod ell, one per relator cycle, as (owner, rows).
+
+    owner[j] is the least column m of the x- or y-cycle holding column j,
+    or -1 where ell divides that relator's k/d; rows are the (xy)^r
+    relations, one sparse row per cycle, reduced by the x and y indicators
+    (entry j minus entry m), or none where ell divides r/d.
+    """
+    n, ncols = sd.group.order, sd.num_schreier
+    right = [np.array(t) for t in sd.right]
+    # label[u, g]: the column of the edge (u, g), or the spare slot ncols
+    label = np.full((n, 2), ncols)
+    label[tuple(np.array(sd.columns).reshape(-1, 2).T)] = np.arange(ncols)
+    owner = np.full(ncols + 1, -1)
+    for g, k in ((X, sd.type[0]), (Y, sd.type[1])):
+        least, d = _cycles(right[g], k)
+        if k // d % ell:
+            least_col = np.full(n, ncols)
+            np.minimum.at(least_col, least, label[:, g])
+            owner[label[:, g]] = least_col[least]
+    owner = owner[:ncols]
+    least, d = _cycles(right[Y][right[X]], sd.type[2])
+    if not sd.type[2] // d % ell:
+        return owner, []
+    # (xy)^r from u reads (u, x), then (ux, y): each column lies on one row
+    row_of = np.zeros(ncols + 1, dtype=np.int64)
+    row_of[label[:, X]] = least
+    row_of[label[right[X], Y]] = least
+    plus, minus = row_of[:ncols], row_of[owner]
+    counted = owner >= 0
+    live = ~counted | (plus != minus)  # j and its m on one row cancel
+    rows = {u: {} for u in np.unique(least).tolist()}
+    for sign, keep, on in ((1, live, plus), (-1, live & counted, minus)):
+        for c, u in zip(np.flatnonzero(keep).tolist(), on[keep].tolist()):
+            rows[u][c] = sign
+    return owner, list(rows.values())
 
 
 def kernel_mod_ell_homology(sd: SchreierData, ell: int) -> GModule:
-    """H_1 of the kernel with F_ell coefficients, as a G-module."""
+    """H_1 of the kernel with F_ell coefficients, as a G-module.
+
+    The relations are the relators rewritten from every coset.  A relator
+    w^k traced from any coset of a cycle of right multiplication by w, of
+    length d, gives the same row: k/d times the sum of the cycle's columns
+    (its Schreier generators (u, g) for a letter g read at u).  The cycles
+    of x and those of y cover each column once, so their rows, when ell
+    does not divide k/d, are indicators of disjoint sets: the RREF R of the
+    whole system pivots on each such cycle's least column m.  Only the
+    (xy)^r rows, reduced by those indicators (`_relations`), go to
+    `rref_mod`; its pivots are none of the m, its rows are rows of R, and
+    the row of a cycle is its indicator minus the rows of R at its columns
+    that `rref_mod` pivots on.
+    """
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     ncols = sd.num_schreier
-    R, pivots = rref_mod(cycle_relations(sd), ell, ncols)
+    owner, rows = _relations(sd, ell)
+    R, pivots_xy = rref_mod(rows, ell, ncols)
+    pivots = np.union1d(owner[owner >= 0], pivots_xy).astype(int)
     free = np.setdiff1d(np.arange(ncols), pivots)
-    block = np.zeros((len(R), len(free)), dtype=np.int64)
-    for i, (row, c) in enumerate(zip(R, pivots)):
+    block = np.zeros((len(pivots), len(free)), dtype=np.int64)  # R[:, free]
+    xy_rows = np.searchsorted(pivots, pivots_xy)
+    for i, row, c in zip(xy_rows.tolist(), R, pivots_xy):
         del row[c]  # R is 1 at its own pivot, 0 at the others
         block[i, np.searchsorted(free, list(row))] = list(row.values())
+    counted = owner[free] >= 0
+    block[np.searchsorted(pivots, owner[free[counted]]), np.flatnonzero(counted)] = 1
+    hit = owner[pivots_xy] >= 0
+    np.subtract.at(block, np.searchsorted(pivots, owner[pivots_xy][hit]),
+                   block[xy_rows[hit]])
+    block %= ell
     mod = GModule(ell, len(free), [], sd, [sd.columns[c] for c in free],
-                  _block=block, _pivots=np.array(pivots, dtype=int), _free=free)
+                  _block=block, _pivots=pivots, _free=free)
     for g_img in sd.gen_images:
         conj = sd.tree_word[g_img]
         cols = []
@@ -447,12 +514,15 @@ def _invariant_lines(mod: GModule, actions, what):
     count = sum((ell ** len(K) - 1) // (ell - 1) for K in spaces)
     if count > SUBSPACE_SCAN_LIMIT:
         raise _infeasible(mod, f"invariant {what}: {count} {what}")
-    lines = []
+    lines = [eye[:0]]
     for K in spaces:
         C = np.arange(1, ell ** len(K))[:, None] // ell ** np.arange(len(K))[::-1] % ell
         C = C[C[np.arange(len(C)), np.argmax(C != 0, axis=1)] == 1]
-        lines += list((C @ K % ell)[:, None, :])
-    return sorted(lines, key=_scan_order)
+        lines.append(C @ K % ell)
+    # a line is 0 before its pivot and 1 there: (pivot, row) is `_scan_order`
+    L = np.concatenate(lines)
+    L = L[np.lexsort(np.vstack([L.T[::-1], np.argmax(L != 0, axis=1)]))]
+    return list(L[:, None, :])
 
 
 # -- extension quotients ------------------------------------------------------

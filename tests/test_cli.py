@@ -115,7 +115,10 @@ def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
 
 def test_genus17_census_rewrites_generator_rows_once(capsys, monkeypatch):
     # the two order-1344 quotients share one module, so the 2 x 168 words of
-    # its generator cocycle rows are rewritten for the first quotient only
+    # its generator cocycle rows are rewritten for the first quotient only;
+    # the relations are read off the cycles, so the rest are the 2 x 6
+    # conjugated generators of the action and, per quotient, 4 x 40 sampled
+    # cocycle words and the 2 generator lifts: 336 + 12 + 2 x 162 = 672
     calls = []
     rewrite = homology.SchreierData.rewrite
 
@@ -125,7 +128,7 @@ def test_genus17_census_rewrites_generator_rows_once(capsys, monkeypatch):
 
     monkeypatch.setattr(homology.SchreierData, "rewrite", counting)
     code, _ = run_main(["census", "--max-genus", "17"], capsys)
-    assert code == 0 and len(calls) == 1176
+    assert code == 0 and len(calls) == 672
 
 
 def test_submodule_lattice_infeasible_exit_two(capsys):

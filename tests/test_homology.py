@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,20 +121,158 @@ def test_dim_is_twice_the_genus(q, genus):
     assert [kernel_mod_ell_homology(sd, ell).dim for ell in (2, 3, 7)] == [2 * genus] * 3
 
 
+def _cycle_relations(sd):
+    """Oracle: the relations as Counter rows, one per relator cycle.  A
+    relator w^k rewritten from u and from u*w gives the same row, so each
+    cycle of right multiplication by w (x, y or xy) is rewritten from one
+    coset only, one letter at a time."""
+    for rel, k in zip(sd.relator_words(), sd.type):
+        seen = bytearray(sd.group.order)
+        for u in range(sd.group.order):
+            if not seen[u]:
+                vec, end = Counter(), u
+                for _ in range(k):
+                    seen[end] = 1
+                    vec, end = sd.rewrite(rel[:len(rel) // k], end, vec)
+                assert end == u
+                yield vec
+
+
+def _all_rewritten_rows(sd):
+    """Every relator rewritten from every coset: 3|G| rows."""
+    return np.array([sd.rewrite(rel, start=u)[0]
+                     for u in range(sd.group.order) for rel in sd.relator_words()])
+
+
 def test_cycle_relations_have_the_rref_of_all_rewritten_rows():
     """One relation per relator cycle spans the same space as the 3|G| rows
     of every relator rewritten from every coset."""
     G, sd = _psl2_schreier(8)
-    full = np.array([sd.rewrite(rel, start=u)[0]
-                     for u in range(G.order) for rel in sd.relator_words()])
+    full = _all_rewritten_rows(sd)
     assert full.shape == (3 * G.order, sd.num_schreier)
-    rows = list(homology.cycle_relations(sd))
+    rows = list(_cycle_relations(sd))
     assert len(rows) == G.order * 41 // 42  # |G| (1/2 + 1/3 + 1/7)
     for ell in (2, 7):
         R, pivots = rref_mod(rows, ell, sd.num_schreier)
         R_full, pivots_full = _dense_rref(full, ell)
         assert pivots == pivots_full
         assert R == _sparse_rows(R_full)
+
+
+def _oracle_module(sd, ell):
+    """(dim, block, pivots, free, action) from the dense RREF of all 3|G|
+    rewritten rows, each conjugated Schreier generator projected by it."""
+    R, pivots = _dense_rref(_all_rewritten_rows(sd), ell)
+    free = sorted(set(range(sd.num_schreier)) - set(pivots))
+    block = R[:, free]
+    action = []
+    for g in sd.gen_images:
+        conj = sd.tree_word[g]
+        cols = []
+        for c in free:
+            vec, end = sd.rewrite(conj + sd.schreier_word(c) + _inverse(conj))
+            assert end == 0
+            cols.append((vec[free] - vec[pivots] @ block) % ell)
+        action.append(np.array(cols, dtype=np.int64).reshape(len(free), -1).T)
+    return len(free), block, pivots, free, action
+
+
+def _assert_matches_oracle(sd, ell):
+    mod = kernel_mod_ell_homology(sd, ell)
+    dim, block, pivots, free, action = _oracle_module(sd, ell)
+    assert mod.dim == dim
+    assert mod._block.shape == block.shape and (mod._block == block).all()
+    assert mod._pivots.tolist() == pivots and mod._free.tolist() == free
+    assert len(mod.action) == len(action) == 2
+    assert all((A == B).all() for A, B in zip(mod.action, action))
+    return mod
+
+
+@pytest.mark.parametrize("q", [7, 8, 13])
+@pytest.mark.parametrize("ell", [2, 3, 7, 13])
+def test_kernel_homology_matches_all_rewritten_rows(q, ell):
+    _assert_matches_oracle(_psl2_schreier(q)[1], ell)
+
+
+@pytest.mark.parametrize("type_,dims", [
+    ((4, 3, 7), {2: 89, 3: 6, 7: 6}),
+    ((6, 3, 7), {2: 6, 3: 89, 7: 6}),
+    ((2, 3, 14), {2: 29, 3: 6, 7: 6}),
+])
+def test_kernel_homology_with_cycles_shorter_than_the_exponent(type_, dims):
+    """The Klein pair fed as a type with a multiple exponent: each cycle of
+    length d < k carries the coefficient k/d, and where ell divides it the
+    cycle's relation vanishes and the homology grows."""
+    G = catalog.psl2(7)
+    t = dessins.enumerate_triples(G, (2, 3, 7))[0].representative
+    sd = schreier_data(type_, G, t.x, t.y)
+    assert {ell: _assert_matches_oracle(sd, ell).dim for ell in dims} == dims
+
+
+@pytest.mark.parametrize("type_", [(3, 2, 7), (3, 4, 7)])
+@pytest.mark.parametrize("ell", [2, 3, 7])
+def test_kernel_homology_with_x_of_order_three(type_, ell):
+    """The Klein pair swapped, x -> y and y -> x: x no longer equals x^-1,
+    so the column (u*x, y) that (xy)^r reads after (u, x) is not (u*x^-1, y)."""
+    G = catalog.psl2(7)
+    t = dessins.enumerate_triples(G, (2, 3, 7))[0].representative
+    _assert_matches_oracle(schreier_data(type_, G, t.y, t.x), ell)
+
+
+@pytest.mark.parametrize("ell", [2, 7])
+def test_kernel_hands_rref_only_the_product_cycles(ell, monkeypatch):
+    """The x^2 and y^3 cycles are solved in closed form: rref_mod gets one
+    row per (xy)^7 cycle, |G|/7 = 156, not the |G| 41/42 = 1066 of all."""
+    _, sd = _psl2_schreier(13)
+    calls = []
+    rref = homology.rref_mod
+
+    def counting(A, ell, ncols=None):
+        calls.append(len(A))
+        return rref(A, ell, ncols)
+
+    monkeypatch.setattr(homology, "rref_mod", counting)
+    assert kernel_mod_ell_homology(sd, ell).dim == 28
+    assert calls == [156]
+
+
+def _queue_tree(G, gx, gy):
+    """Oracle: the one-at-a-time BFS tree with move order (x, x^-1, y, y^-1),
+    its words, and the non-tree (coset, gen) columns in order."""
+    right = [G.right_mult_table(g) for g in (gx, gy)]
+    right_inv = [G.right_mult_table(G.inv(g)) for g in (gx, gy)]
+    tree_word = [None] * G.order
+    tree_word[0] = []
+    tree_edges = set()
+    queue = [0]
+    for u in queue:
+        for g, s in [(0, 1), (0, -1), (1, 1), (1, -1)]:
+            v = right[g][u] if s > 0 else right_inv[g][u]
+            if tree_word[v] is None:
+                tree_word[v] = tree_word[u] + [(g, s)]
+                tree_edges.add((u, g) if s > 0 else (v, g))
+                queue.append(v)
+    columns = [(u, g) for u in range(G.order) for g in (0, 1)
+               if (u, g) not in tree_edges]
+    return tree_word, columns
+
+
+@pytest.mark.parametrize("name", ["PSL(2,7)", "PSL(2,13)", "2^3.PSL(2,7)#1"])
+def test_level_tree_matches_queue_bfs(name):
+    if name.startswith("2^3"):
+        G = klein_extension_groups()[0].group
+        gx, gy = G.gen_indices
+    else:
+        G = catalog.psl2(int(name[6:-1]))
+        t = dessins.enumerate_triples(G, (2, 3, 7))[0].representative
+        gx, gy = t.x, t.y
+    type_ = tuple(G.element_order(g) for g in (gx, gy, G.mul(gx, gy)))
+    sd = schreier_data(type_, G, gx, gy)
+    tree_word, columns = _queue_tree(G, gx, gy)
+    assert sd.tree_word == tree_word
+    assert sd.columns == columns
+    assert sd.column == {ug: j for j, ug in enumerate(columns)}
+    assert sd.num_schreier == G.order + 1
 
 
 def test_schreier_generator_count(klein):
@@ -401,6 +540,24 @@ def test_lines_and_hyperplanes_beyond_the_lattice(name, k, monkeypatch):
                    rf"dim {n}\) exceed the limit {lines - 1}$")
         with pytest.raises(ScanInfeasibleError, match=message):
             invariant_submodules(mod, 1)
+
+
+@pytest.mark.parametrize("name,k", [("trivial", 4), ("PSL(2,7) mod 7", 0),
+                                    ("PSL(2,7) mod 7", 2)])
+def test_invariant_lines_come_in_scan_order(name, k):
+    """The one sort of all lines by (pivot, row) is the `_scan_order` sort."""
+    if name == "trivial":
+        eye = np.eye(k, dtype=np.int64)
+        mod = GModule(7, k, [eye, eye], None, [])
+    else:
+        mod = _plus_trivial(_module(name), k)
+    for actions in (mod.action, [A.T for A in mod.action]):
+        lines = homology._invariant_lines(mod, actions, "lines")
+        assert all(B.shape == (1, mod.dim) for B in lines)
+        expected = sorted(lines, key=homology._scan_order)
+        assert [B.tolist() for B in lines] == [B.tolist() for B in expected]
+    assert len(homology._invariant_lines(mod, mod.action, "lines")) == (
+        (7 ** k - 1) // 6)
 
 
 def test_extension_by_full_module_is_base(klein):
