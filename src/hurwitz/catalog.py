@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import factorial
 from pathlib import Path
 
+import numpy as np
+
 from .fields import Fq, factorize, is_prime, prime_power
 from .group import DEFAULT_CAP, FinGroup, group_from_generators
 
@@ -213,27 +215,27 @@ def _sl2_generator_matrices(F: Fq):
 def _projective_perm(F: Fq, M):
     """Action of a matrix on the q+1 points of the projective line.
 
-    Points 0..q-1 are the affine field codes, point q is infinity.
+    Points 0..q-1 are the affine field codes, point q is infinity.  z goes
+    to (a z + b) / (c z + d) and infinity to a / c, read from the field's
+    `tables`; a zero denominator gives infinity.
     """
     (a, b), (c, d) = M
-    q = F.q
-    images = []
-    for z in range(q):
-        num = F.add(F.mul(a, z), b)
-        den = F.add(F.mul(c, z), d)
-        images.append(q if den == 0 else F.mul(num, F.inv(den)))
-    num, den = a, c
-    images.append(q if den == 0 else F.mul(num, F.inv(den)))
-    return tuple(images)
+    add, mul, inv = F.tables()
+    z = np.arange(F.q)
+    num = np.append(add[mul[a, z], b], a)
+    den = np.append(add[mul[c, z], d], c)
+    return tuple(np.where(den == 0, F.q, mul[num, inv[den]]).tolist())
 
 
-def _vector_perm(F: Fq, M, points, pt_index):
+def _vector_perm(F: Fq, M):
+    """Action of a matrix on the nonzero vectors of F_q^2, read from the
+    field's `tables`.  Vector (u, v) is point u q + v - 1 (u-major order
+    from (0, 1))."""
     (a, b), (c, d) = M
-    images = []
-    for (u, v) in points:
-        w = (F.add(F.mul(a, u), F.mul(b, v)), F.add(F.mul(c, u), F.mul(d, v)))
-        images.append(pt_index[w])
-    return tuple(images)
+    add, mul, _ = F.tables()
+    u, v = np.divmod(np.arange(1, F.q * F.q), F.q)
+    images = add[mul[a, u], mul[b, v]] * F.q + add[mul[c, u], mul[d, v]] - 1
+    return tuple(images.tolist())
 
 
 def psl2_order(q: int) -> int:
@@ -258,9 +260,7 @@ def sl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
     if pp is None:
         raise ValueError(f"{q} is not a prime power")
     F = Fq(*pp)
-    points = [(u, v) for u in range(q) for v in range(q) if (u, v) != (0, 0)]
-    pt_index = {pt: i for i, pt in enumerate(points)}
-    gens = [_vector_perm(F, M, points, pt_index) for M in _sl2_generator_matrices(F)]
+    gens = [_vector_perm(F, M) for M in _sl2_generator_matrices(F)]
     order = q * (q * q - 1)
     return _check_order(group_from_generators(gens, cap=cap, name=f"SL(2,{q})"),
                         order)

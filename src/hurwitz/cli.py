@@ -8,6 +8,7 @@ for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -319,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--characters", action="store_true",
                    help="append H^1 character rows per class")
     p.set_defaults(func=_cmd_census)
+    parser.census = p  # `main` refreshes its --data-pack default
 
     p = sub.add_parser("dessins", help="dessin classes for one group")
     common(p, group=True)
@@ -361,8 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser():
+    """The parser of `main`, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
+    # the --data-pack default is $HURWITZ_DATA_PACK as it is now, not as it
+    # was when the parser was built
+    parser.census.set_defaults(data_pack=os.environ.get("HURWITZ_DATA_PACK"))
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:

@@ -8,6 +8,8 @@ codes, so field construction is reproducible.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -139,8 +141,34 @@ class Fq:
         self.q = p ** f
         self.modulus = find_irreducible(p, f) if f > 1 else (0, 1)
 
+    _tables = None  # (add, mul, inv), built on first use
+
     def __repr__(self):
         return f"Fq({self.p}, {self.f})"
+
+    def tables(self):
+        """(add, mul, inv) as code arrays: add[a, b] and mul[a, b] are the
+        codes of a + b and a * b, inv[a] that of 1 / a (inv[0] = 0 stands in).
+
+        Built once from the base-p digits of all q codes: sums digit by
+        digit, and products as digit convolutions whose degrees 2f - 2 down
+        to f are folded away by x^f = x^f - modulus, of degree below f.
+        """
+        if self._tables is None:
+            p, f, q = self.p, self.f, self.q
+            powers = p ** np.arange(f)
+            digits = np.arange(q)[:, None] // powers % p
+            add = (digits[:, None] + digits[None]) % p @ powers
+            prod = np.zeros((q, q, 2 * f - 1), dtype=np.int64)
+            for i in range(f):
+                prod[:, :, i:i + f] += digits[:, None, i, None] * digits[None]
+            low = np.array(self.modulus[:f])
+            for k in range(2 * f - 2, f - 1, -1):
+                prod[:, :, k - f:k] = (prod[:, :, k - f:k]
+                                       - prod[:, :, k, None] * low) % p
+            mul = prod[:, :, :f] % p @ powers
+            self._tables = add, mul, np.argmax(mul == 1, axis=1)
+        return self._tables
 
     def elements(self):
         return range(self.q)

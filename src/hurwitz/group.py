@@ -42,7 +42,7 @@ class FinGroup:
         self._by_base = {images: i for i, images in enumerate(self._base_images)}
 
     # caches, filled on first use
-    _array = _orders = _inverses = _classes = _class_of = _derived = None
+    _array = _orders = _inverses = _classes = _class_of = _derived = _conj = None
 
     def __repr__(self):
         return f"FinGroup({self.name!r}, order={self.order}, degree={self.degree})"
@@ -219,6 +219,17 @@ class FinGroup:
                 return False
         return True
 
+    def conjugation_tables(self):
+        """One array per generator g of G, the table of g^-1 * u * g over u,
+        each from two `products` batches of |G| (cached)."""
+        if self._conj is None:
+            n, tables = self.order, []
+            for g in self.gen_indices:
+                left = self.products(np.full(n, self.inv(g)), np.arange(n))
+                tables.append(self.products(left, np.full(n, g)))
+            self._conj = tables
+        return self._conj
+
     def right_mult_table(self, i: int):
         """List m with m[u] = index of u * elements[i], from one `products` batch."""
         return self.products(np.arange(self.order), np.full(self.order, i)).tolist()
@@ -389,14 +400,10 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> RuleGroup
 def conjugacy_classes(G: FinGroup):
     """Classes as orbits under conjugation by the generators, canonically sorted.
 
-    Two `products` batches give the table of g^-1 * u * g per generator g.
+    The orbits are walked on the group's `conjugation_tables`.
     """
     n = G.order
-    rows = np.arange(n)
-    tables = []
-    for g in G.gen_indices:
-        left = G.products(np.full(n, G.inv(g)), rows)
-        tables.append(G.products(left, np.full(n, g)).tolist())
+    tables = [table.tolist() for table in G.conjugation_tables()]
     assigned = [False] * n
     classes = []
     for start in range(n):
@@ -456,27 +463,33 @@ def normal_closure(G: FinGroup, seeds):
     One BFS from the identity: each element found is multiplied on the right
     by every seed and conjugated by every generator of G.  The orbit is
     closed under both maps, hence under right multiplication by every
-    conjugate of a seed, so it is the normal closure itself.
+    conjugate of a seed, so it is the normal closure itself.  The BFS runs
+    one level at a time on tables built once, the seeds' right
+    multiplications (one `products` batch) and G's `conjugation_tables`:
+    each level is one gather of them at the last level's elements.
     """
-    mul = G.mul
-    conjugators = [(G.inv(g), g) for g in G.gen_indices]
-    seen = {0}
-    queue = [0]
-    for u in queue:
-        images = [mul(u, s) for s in seeds]
-        images += [mul(mul(ginv, u), g) for ginv, g in conjugators]
-        for v in images:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return sorted(seen)
+    seeds = list(seeds)
+    if not seeds:
+        return [0]
+    right = G.product_table(np.arange(G.order), seeds).T
+    targets = np.vstack([right, *G.conjugation_tables()])
+    seen = np.zeros(G.order, dtype=bool)
+    seen[0] = True
+    level = np.zeros(1, dtype=np.intp)
+    while len(level):
+        grown = seen.copy()
+        grown[targets[:, level]] = True
+        level = np.flatnonzero(grown & ~seen)
+        seen = grown
+    return np.flatnonzero(seen).tolist()
 
 
 def commutator_subgroup(G: FinGroup):
-    """Derived subgroup, as sorted indices: normal closure of generator commutators."""
-    gen_idx = G.gen_indices
-    seeds = {G.commutator(a, b) for a in gen_idx for b in gen_idx} - {0}
-    return normal_closure(G, seeds)
+    """Derived subgroup, as sorted indices: the normal closure of the
+    commutators [a, b] of generators a before b ([b, a] = [a, b]^-1)."""
+    gens = G.gen_indices
+    seeds = {G.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]}
+    return normal_closure(G, sorted(seeds - {0}))
 
 
 def cayley_labels(tables):

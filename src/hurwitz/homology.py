@@ -331,10 +331,17 @@ def _check_relations(mod: GModule) -> None:
     p, q, r = mod.schreier.type
     Ax, Ay = mod.action
     eye = np.eye(mod.dim, dtype=np.int64)
+
     def matpow(A, k):
-        out = eye
-        for _ in range(k):
-            out = (out @ A) % mod.ell
+        """A^k mod ell by square-and-multiply from A: 1, 2 and 4 products
+        for k = 2, 3 and 7."""
+        out = None
+        while k:
+            if k & 1:
+                out = A if out is None else (out @ A) % mod.ell
+            k >>= 1
+            if k:
+                A = (A @ A) % mod.ell
         return out
     if (matpow(Ax, p) != eye).any() or (matpow(Ay, q) != eye).any():
         raise RuntimeError("action matrices violate the generator relations")
@@ -484,9 +491,35 @@ def invariant_submodules(mod: GModule, d: int):
     if d == 1:
         return _invariant_lines(mod, mod.action, "lines")
     if d == n - 1:  # (A^T f) . w = f . (A w): the annihilators of A^T-invariant lines
-        lines = _invariant_lines(mod, [A.T for A in mod.action], "hyperplanes")
-        return sorted((_null_space(f, mod.ell) for f in lines), key=_scan_order)
+        return _hyperplanes(_invariant_lines(mod, [A.T for A in mod.action],
+                                             "hyperplanes"), mod.ell)
     return [B for B in submodule_lattice(mod) if len(B) == d]
+
+
+def _hyperplanes(lines, ell):
+    """RREF bases of the annihilators f^perp of the lines f, in `_scan_order`.
+
+    With t the last nonzero entry of f, the pivots are every column but t,
+    and row j is e_j - (f_j / f_t) e_t.  Pivot tuples fall as t grows, and
+    for one t the free column t holds H = -f / f_t outside row t, where H
+    is -1 at t and 0 after it: so the order is t descending, then H.
+    """
+    if not lines:
+        return []
+    F = np.concatenate(lines)
+    m, n = F.shape
+    t = n - 1 - np.argmax(F[:, ::-1] != 0, axis=1)
+    inverse = np.array([0] + [pow(a, -1, ell) for a in range(1, ell)])
+    H = -F * inverse[F[np.arange(m), t]][:, None] % ell
+    order = np.lexsort(np.vstack([H.T[::-1], -t]))
+    H, t = H[order], t[order]
+    # row r of a basis is e_j + H_j e_t for the r-th column j other than t
+    rows = np.arange(n - 1)
+    J = rows + (rows >= t[:, None])
+    B = np.zeros((m, n - 1, n), dtype=np.int64)
+    B[np.arange(m)[:, None], rows, J] = 1
+    B[np.arange(m)[:, None], rows, t[:, None]] = np.take_along_axis(H, J, axis=1)
+    return list(B)
 
 
 def _null_space(A, ell):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from hurwitz import catalog
+from hurwitz.fields import Fq, prime_power
 from hurwitz.catalog import (Catalog, abelian, alternating, cyclic, dicyclic,
                              dihedral, groups_of_order, groups_of_order_4p,
                              load_group, metacyclic, parse_group_spec, pgl2,
@@ -137,3 +140,45 @@ def test_catalog_candidates_built_once_until_add_group():
 def test_groups_of_order_16_contains_modular_group():
     hists = {_order_histogram(G) for G in groups_of_order(16)}
     assert _order_histogram(metacyclic(8, 5)) in hists
+
+
+def _scalar_projective_perm(F, M):
+    """Oracle for _projective_perm: every image by scalar field arithmetic."""
+    (a, b), (c, d) = M
+    q = F.q
+    images = []
+    for z in range(q):
+        num = F.add(F.mul(a, z), b)
+        den = F.add(F.mul(c, z), d)
+        images.append(q if den == 0 else F.mul(num, F.inv(den)))
+    num, den = a, c
+    images.append(q if den == 0 else F.mul(num, F.inv(den)))
+    return tuple(images)
+
+
+def _scalar_vector_perm(F, M):
+    """Oracle for _vector_perm: the images of the nonzero vectors, listed
+    u-major, by scalar field arithmetic."""
+    (a, b), (c, d) = M
+    q = F.q
+    points = [(u, v) for u in range(q) for v in range(q) if (u, v) != (0, 0)]
+    pt_index = {pt: i for i, pt in enumerate(points)}
+    return tuple(pt_index[(F.add(F.mul(a, u), F.mul(b, v)),
+                           F.add(F.mul(c, u), F.mul(d, v)))] for u, v in points)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 13, 16, 25, 27, 32])
+def test_generator_perms_match_scalar_oracles(q):
+    """The table-read permutations of the catalog's generator matrices, of
+    PGL's diagonal one and of random invertible matrices (c = 0 among them)."""
+    F = Fq(*prime_power(q))
+    rng = random.Random(q)
+    mats = catalog._sl2_generator_matrices(F) + [((F.generator(), 0), (0, 1))]
+    while len(mats) < 2 * F.f + 7:
+        a, b, d = (rng.randrange(q) for _ in range(3))
+        c = rng.randrange(q) if len(mats) % 2 else 0
+        if F.add(F.mul(a, d), F.neg(F.mul(b, c))):
+            mats.append(((a, b), (c, d)))
+    for M in mats:
+        assert catalog._projective_perm(F, M) == _scalar_projective_perm(F, M)
+        assert catalog._vector_perm(F, M) == _scalar_vector_perm(F, M)

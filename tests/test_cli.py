@@ -296,3 +296,27 @@ def test_data_pack_env(tmp_path, monkeypatch, capsys):
     parser = cli.build_parser()
     args = parser.parse_args(["census", "--max-genus", "2"])
     assert args.data_pack == str(tmp_path)
+
+
+def test_data_pack_env_read_on_every_main_call(tmp_path, monkeypatch, capsys):
+    """`main` builds its parser once, yet each call reads $HURWITZ_DATA_PACK
+    as it is then, and checks it as a directory."""
+    G = catalog.psl2(7)
+    G.name = "packed PSL(2,7)"
+    catalog.save_group(G, tmp_path / "psl27.grp")
+    args = ["census", "--max-genus", "3"]
+    monkeypatch.delenv("HURWITZ_DATA_PACK", raising=False)
+    code, out = run_main(args, capsys)
+    assert code == 0 and "packed" not in out
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1))
+    monkeypatch.setenv("HURWITZ_DATA_PACK", str(tmp_path))
+    code, out = run_main(args, capsys)
+    genus3 = next(r for r in json.loads(out)["census"] if r["genus"] == 3)
+    assert code == 0 and "packed PSL(2,7)" in genus3["searched"]
+    monkeypatch.setenv("HURWITZ_DATA_PACK", str(tmp_path / "missing"))
+    assert run_main(args, capsys)[0] == 1
+    monkeypatch.delenv("HURWITZ_DATA_PACK")
+    code, out = run_main(args, capsys)
+    assert code == 0 and "packed" not in out
+    assert not builds

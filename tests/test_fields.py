@@ -90,3 +90,14 @@ def test_fq_rejects_bad_input():
         Fq(4, 1)
     with pytest.raises(ValueError):
         Fq(2, 0)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 50) if prime_power(q)])
+def test_tables_match_scalar_arithmetic(q):
+    F = Fq(*prime_power(q))
+    add, mul, inv = F.tables()
+    assert add.shape == mul.shape == (q, q) and inv.shape == (q,)
+    assert add.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]
+    assert mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    assert inv.tolist() == [0] + [F.inv(a) for a in range(1, q)]
+    assert F.tables() is F.tables()

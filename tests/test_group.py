@@ -92,6 +92,106 @@ def test_normal_closure_is_subgroup_generated_by_the_class(G):
             assert normal_closure(G, [i]) == expected
 
 
+def _scalar_normal_closure(G, seeds):
+    """Oracle for normal_closure: a queue BFS from the identity with one
+    scalar `mul` per right multiplication by a seed and two per conjugate."""
+    mul = G.mul
+    conjugators = [(G.inv(g), g) for g in G.gen_indices]
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        images = [mul(u, s) for s in seeds]
+        images += [mul(mul(ginv, u), g) for ginv, g in conjugators]
+        for v in images:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return sorted(seen)
+
+
+def _origami18_groups():
+    """Every group the genus 2..18 origami searches would scan if none had a witness."""
+    groups = []
+
+    def record(G):
+        groups.append(G)
+        return []
+
+    saved = origami.enumerate_origami_pairs
+    origami.enumerate_origami_pairs = record
+    try:
+        for g in range(2, 19):
+            origami_existence(g)
+    finally:
+        origami.enumerate_origami_pairs = saved
+    return groups
+
+
+NORMAL_CLOSURE_CASES = {
+    "PSL(2,7)": lambda: [catalog.psl2(7)],
+    "PSL(2,8)": lambda: [catalog.psl2(8)],
+    "PSL(2,13)": lambda: [catalog.psl2(13)],
+    "SL(2,7)": lambda: [catalog.sl2(7)],
+    "2^3.PSL(2,7)#1": lambda: [homology.klein_extension_groups()[0].group],
+    "origami18": _origami18_groups,
+    # S3 x C2 with a central middle generator: only [first, last] is nontrivial
+    "S3xC2": lambda: [group_from_generators([(1, 0, 2, 3, 4), (0, 1, 2, 4, 3),
+                                             (1, 2, 0, 3, 4)])],
+}
+
+
+@pytest.mark.parametrize("build", NORMAL_CLOSURE_CASES.values(),
+                         ids=NORMAL_CLOSURE_CASES.keys())
+def test_normal_closure_matches_scalar_oracle(build):
+    """The table-driven BFS against the scalar one: on each class
+    representative, on the commutators of all ordered pairs of generators
+    (the derived subgroup, which `commutator_subgroup` finds from the pairs
+    a before b), and on empty and identity-only seeds."""
+    for G in build():
+        gens = G.gen_indices
+        commutators = {G.commutator(a, b) for a in gens for b in gens} - {0}
+        assert commutator_subgroup(G) == _scalar_normal_closure(G, commutators)
+        simple = G.order > 1 and all(
+            len(_scalar_normal_closure(G, [cls[0]])) == G.order
+            for cls in G.conjugacy_classes()[1:])
+        assert G.is_simple() == simple
+        for cls in G.conjugacy_classes():
+            assert normal_closure(G, [cls[0]]) == _scalar_normal_closure(G, [cls[0]])
+        assert normal_closure(G, []) == normal_closure(G, [0]) == [0]
+
+
+def test_commutator_subgroup_is_table_driven(monkeypatch):
+    """On PSL(2,13) the normal-closure BFS makes no scalar `mul`, and the
+    derived subgroup takes at most five `products` batches however many
+    levels the BFS has: one for the seed's right-multiplication table and
+    two per generator for the conjugation tables."""
+    G = catalog.psl2(13)
+    calls, inside, entered = [], [], []
+    products, mul, closure = group.FinGroup.products, group.FinGroup.mul, normal_closure
+
+    def counted(self, I, J):
+        calls.append(len(I))
+        return products(self, I, J)
+
+    def checked_mul(self, i, j):
+        assert not inside, "scalar mul inside the normal-closure BFS"
+        return mul(self, i, j)
+
+    def traced_closure(*args):
+        inside.append(True)
+        entered.append(True)
+        try:
+            return closure(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(group.FinGroup, "products", counted)
+    monkeypatch.setattr(group.FinGroup, "mul", checked_mul)
+    monkeypatch.setattr(group, "normal_closure", traced_closure)
+    assert len(commutator_subgroup(G)) == G.order
+    assert entered and len(calls) <= 5
+
+
 @given(st.integers(0, 167), st.integers(0, 167))
 @settings(max_examples=80, deadline=None)
 def test_closure_and_inverse_laws(i, j):

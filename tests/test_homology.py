@@ -542,15 +542,18 @@ def test_lines_and_hyperplanes_beyond_the_lattice(name, k, monkeypatch):
             invariant_submodules(mod, 1)
 
 
+def _trivial_or_plus_trivial(name, k):
+    if name == "trivial":
+        eye = np.eye(k, dtype=np.int64)
+        return GModule(7, k, [eye, eye], None, [])
+    return _plus_trivial(_module(name), k)
+
+
 @pytest.mark.parametrize("name,k", [("trivial", 4), ("PSL(2,7) mod 7", 0),
                                     ("PSL(2,7) mod 7", 2)])
 def test_invariant_lines_come_in_scan_order(name, k):
     """The one sort of all lines by (pivot, row) is the `_scan_order` sort."""
-    if name == "trivial":
-        eye = np.eye(k, dtype=np.int64)
-        mod = GModule(7, k, [eye, eye], None, [])
-    else:
-        mod = _plus_trivial(_module(name), k)
+    mod = _trivial_or_plus_trivial(name, k)
     for actions in (mod.action, [A.T for A in mod.action]):
         lines = homology._invariant_lines(mod, actions, "lines")
         assert all(B.shape == (1, mod.dim) for B in lines)
@@ -558,6 +561,22 @@ def test_invariant_lines_come_in_scan_order(name, k):
         assert [B.tolist() for B in lines] == [B.tolist() for B in expected]
     assert len(homology._invariant_lines(mod, mod.action, "lines")) == (
         (7 ** k - 1) // 6)
+
+
+@pytest.mark.parametrize("name,k", [("trivial", 4), ("PSL(2,7) mod 7", 0),
+                                    ("PSL(2,7) mod 7", 2), ("C3 torus mod 3", 2)])
+def test_hyperplanes_read_off_their_lines(name, k):
+    """The hyperplanes built from their transposed-invariant lines f are the
+    RREF null spaces of f, and their one lexsort is the `_scan_order` sort."""
+    mod = _trivial_or_plus_trivial(name, k)
+    lines = homology._invariant_lines(mod, [A.T for A in mod.action], "hyperplanes")
+    expected = sorted((homology._null_space(f, mod.ell) for f in lines),
+                      key=homology._scan_order)
+    found = invariant_submodules(mod, mod.dim - 1)
+    assert all(B.shape == (mod.dim - 1, mod.dim) for B in found)
+    assert [B.tolist() for B in found] == [B.tolist() for B in expected]
+    if name == "trivial":
+        assert len(found) == (7 ** k - 1) // 6
 
 
 def test_extension_by_full_module_is_base(klein):
