@@ -8,6 +8,7 @@ the table-based approach honest; everything in scope fits well below it.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -23,26 +24,36 @@ class CapExceededError(RuntimeError):
     """Group too large for table-based methods."""
 
 
-class FinGroup:
-    """A finite group given by its full element table.
+def _cap_error(name, reached, cap, size):
+    return CapExceededError(
+        f"group closure of {name}: {reached} elements reached > cap {cap}, {size}")
 
-    Elements are stored in BFS discovery order (identity first) so indices,
-    class representatives and all derived output are reproducible.
+
+class FinGroup:
+    """A finite group given by its elements' keys and one batch product.
+
+    keys[i] is element i's permutation for a group closed from permutations
+    (`group_from_generators`), or its code for one closed under a product
+    rule (`group_from_rule`).  Elements are stored in BFS discovery order
+    (identity first) so indices, class representatives and all derived
+    output are reproducible.  `products` is the batch product on index
+    arrays that the builder supplies; every other operation is defined on
+    it.  The permutation rows `elements` are the keys of a permutation
+    group; a rule group computes them with `row` only when they are read,
+    for oracles and tests.
     """
 
-    def __init__(self, degree, generators, elements, index, name):
-        self.degree = degree
-        self.generators = list(generators)
-        self.elements = elements
-        self.index = index
-        self.order = len(elements)
+    def __init__(self, keys, gen_indices, product, name, degree, row=None):
+        self.keys = keys
+        self.order = len(keys)
+        self.gen_indices = list(gen_indices)
         self.name = name
-        self.gen_indices = [index[g] for g in self.generators]
-        self._base, self._base_images = _base(elements)
-        self._by_base = {images: i for i, images in enumerate(self._base_images)}
+        self.degree = degree
+        self._product = product
+        self._row = row
 
     # caches, filled on first use
-    _array = _orders = _inverses = _classes = _class_of = _derived = _conj = None
+    _rows = _index = _orders = _inverses = _classes = _class_of = _derived = _conj = None
 
     def __repr__(self):
         return f"FinGroup({self.name!r}, order={self.order}, degree={self.degree})"
@@ -50,12 +61,38 @@ class FinGroup:
     def __len__(self):
         return self.order
 
+    # -- permutation rows ----------------------------------------------------
+
+    def row(self, i: int):
+        """Element i as a permutation tuple of range(degree)."""
+        return self.keys[i] if self._row is None else self._row(self.keys[i])
+
+    @property
+    def elements(self):
+        if self._rows is None:
+            self._rows = self.keys if self._row is None else list(map(self._row, self.keys))
+        return self._rows
+
+    @property
+    def index(self):
+        """Element index of each permutation row."""
+        if self._index is None:
+            self._index = {row: i for i, row in enumerate(self.elements)}
+        return self._index
+
+    @property
+    def generators(self):
+        return [self.row(i) for i in self.gen_indices]
+
     # -- basic element arithmetic on indices --------------------------------
 
+    def products(self, I, J):
+        """Index array of elements[I[k]] * elements[J[k]], for index arrays I, J."""
+        return self._product(np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
+
     def mul(self, i: int, j: int) -> int:
-        """Index of elements[i] * elements[j], looked up by its base images."""
-        return self._by_base[tuple(map(self.elements[i].__getitem__,
-                                       self._base_images[j]))]
+        """Index of elements[i] * elements[j]: `products` on one pair."""
+        return int(self.products([i], [j])[0])
 
     def inv(self, i: int) -> int:
         return self.inverse_indices()[i]
@@ -68,66 +105,12 @@ class FinGroup:
         orders = self.element_orders()
         return orders[i]
 
-    def products(self, I, J):
-        """Index array of elements[I[k]] * elements[J[k]], for index arrays I, J.
-
-        The batch form of `mul`: I's images of J's base images are gathered
-        from the element array and looked up by their codes.
-        """
-        images = self._element_array()[np.asarray(I, dtype=np.intp)[:, None],
-                                       self._base_columns.take(J, axis=0)]
-        return self._lookup(images)
-
     def product_table(self, A, B):
         """The (len(A), len(B)) array of the products elements[a] * elements[b],
         from one `products` batch."""
         A, B = np.asarray(A, dtype=np.intp), np.asarray(B, dtype=np.intp)
         I, J = np.repeat(A, len(B)), np.repeat(B[None], len(A), axis=0).ravel()
         return self.products(I, J).reshape(len(A), -1)
-
-    def _element_array(self):
-        """The n x degree element array, built on first use together with
-        the exact codes of the base images.
-
-        The base is cut into runs of columns short enough that n * degree**run
-        stays below 2**63.  A run's images are read as base-`degree` digits
-        after the previous run's code, and the result is replaced by its rank
-        among the elements' codes, so codes stay exact and the last run's
-        ranks number the elements 0..n-1.
-        """
-        if self._array is not None:
-            return self._array
-        n, degree = self.order, self.degree
-        dtype = np.min_scalar_type(max(degree - 1, 0))
-        A = np.fromiter(chain.from_iterable(self.elements), dtype=dtype,
-                        count=n * degree).reshape(n, degree)
-        base_columns = A[:, self._base].astype(np.intp)
-        run = 1
-        while n * max(degree, 2) ** (run + 1) < 2 ** 63:
-            run += 1
-        self._runs = []
-        code = 0
-        for start in range(0, max(len(self._base), 1), run):
-            cols = slice(start, start + run)
-            width = len(self._base[cols])
-            weights = np.array([degree ** (width - 1 - c) for c in range(width)],
-                               dtype=np.int64)
-            code = code * degree ** width + base_columns[:, cols] @ weights
-            # not np.unique: it imports numpy.ma, 1.6 MB of resident memory
-            ranks = np.array(sorted(set(code.tolist())), dtype=np.int64)
-            code = ranks.searchsorted(code)
-            self._runs.append((cols, degree ** width, weights, ranks))
-        self._by_code = np.empty(n, dtype=np.intp)
-        self._by_code[code] = np.arange(n)
-        self._array, self._base_columns = A, base_columns
-        return A
-
-    def _lookup(self, images):
-        """Element indices of the rows of base images (k x len(base))."""
-        code = 0
-        for cols, span, weights, ranks in self._runs:
-            code = ranks.searchsorted(code * span + images[:, cols] @ weights)
-        return self._by_code[code]
 
     def element_orders(self):
         """Orders by repeated products over the elements not yet at the identity.
@@ -152,17 +135,16 @@ class FinGroup:
         return self._orders
 
     def inverse_indices(self):
-        """Inverses looked up by the base images of the inverse permutations."""
-        if self._inverses is None:
-            A = self._element_array()
-            inverse = np.empty_like(A)
-            inverse[np.arange(self.order)[:, None], A] = np.arange(self.degree)
-            self._inverses = self._lookup(inverse[:, self._base]).tolist()
+        """The inverses that `element_orders` keeps."""
+        self.element_orders()
         return self._inverses
 
     def element_key(self, i: int):
-        """The element's permutation, which orders classes canonically."""
-        return self.elements[i]
+        """The element's key, which orders classes canonically: a
+        permutation, or a code.  Row i of a rule group's regular action
+        starts with codes[i], the image of the identity's code 0, and codes
+        differ, so codes order the elements as their rows do."""
+        return self.keys[i]
 
     # -- conjugacy classes ---------------------------------------------------
 
@@ -170,7 +152,7 @@ class FinGroup:
         """Partition of element indices into classes, canonically sorted.
 
         Classes are ordered by element order, then class size, then by the
-        lexicographically least member permutation (`element_key`).
+        least member key (`element_key`).
         """
         if self._classes is None:
             self._classes = conjugacy_classes(self)
@@ -220,14 +202,25 @@ class FinGroup:
         return True
 
     def conjugation_tables(self):
-        """One array per generator g of G, the table of g^-1 * u * g over u,
-        each from two `products` batches of |G| (cached)."""
+        """(conj, undo), two arrays with one row per generator g of G:
+        conj[k][u] = g^-1 * u * g and undo[k][v] = g^-1 * v (cached).
+
+        The products u * g and g * u for every u and g take `products`
+        batches of max(BATCH, |G|) entries; undo inverts the permutation
+        u -> g * u, so undo[k][0] is g^-1 and conj[k] is undo[k] read at
+        u * g.
+        """
         if self._conj is None:
-            n, tables = self.order, []
-            for g in self.gen_indices:
-                left = self.products(np.full(n, self.inv(g)), np.arange(n))
-                tables.append(self.products(left, np.full(n, g)))
-            self._conj = tables
+            n, k = self.order, len(self.gen_indices)
+            u, g = np.tile(np.arange(n), k), np.repeat(self.gen_indices, n)
+            I, J = np.concatenate([u, g]), np.concatenate([g, u])
+            step = max(BATCH, n)
+            right, left = np.concatenate(
+                [self.products(I[s:s + step], J[s:s + step])
+                 for s in range(0, len(I), step)]).reshape(2, k, n)
+            undo = np.empty_like(left)
+            undo[np.arange(k)[:, None], left] = np.arange(n)
+            self._conj = np.take_along_axis(undo, right, axis=1), undo
         return self._conj
 
     def right_mult_table(self, i: int):
@@ -236,13 +229,12 @@ class FinGroup:
 
 
 def _base(elements):
-    """A base, and its images under each element in element order.
+    """A base of the permutations `elements`.
 
     A base is a list of points whose images determine an element (Sims; Holt,
     Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
     Points join in order when they separate more elements, until all
-    elements have distinct images.  The product a*b maps a base point p to
-    a[b[p]], so its base images are a's images of b's base images.
+    elements have distinct images.
     """
     base = []
     images = [()] * len(elements)
@@ -255,11 +247,58 @@ def _base(elements):
         if count > distinct:
             base.append(p)
             images, distinct = extended, count
-    return base, images
+    return base
+
+
+def _base_product(elements, degree):
+    """The base-image product of the permutations `elements` (n of them), as
+    a function of two index arrays.
+
+    The product a*b maps a base point p to a[b[p]], so its base images are
+    a's images of b's base images: one gather from the n x degree element
+    array (smallest unsigned dtype that holds the points), looked up by an
+    exact int64 code.  The base is cut into runs of columns short enough
+    that n * degree**run stays below 2**63.  A run's images are read as
+    base-`degree` digits after the previous run's code, and the result is
+    replaced by its rank among the elements' codes, so codes stay exact and
+    the last run's ranks number the elements 0..n-1.
+    """
+    n = len(elements)
+    A = np.fromiter(chain.from_iterable(elements),
+                    dtype=np.min_scalar_type(max(degree - 1, 0)),
+                    count=n * degree).reshape(n, degree)
+    base = _base(elements)
+    base_columns = A[:, base].astype(np.intp)
+    run = 1
+    while n * max(degree, 2) ** (run + 1) < 2 ** 63:
+        run += 1
+    runs = []
+    code = 0
+    for start in range(0, max(len(base), 1), run):
+        cols = slice(start, start + run)
+        width = len(base[cols])
+        weights = np.array([degree ** (width - 1 - c) for c in range(width)],
+                           dtype=np.int64)
+        code = code * degree ** width + base_columns[:, cols] @ weights
+        # not np.unique: it imports numpy.ma, 1.6 MB of resident memory
+        ranks = np.array(sorted(set(code.tolist())), dtype=np.int64)
+        code = ranks.searchsorted(code)
+        runs.append((cols, degree ** width, weights, ranks))
+    by_code = np.empty(n, dtype=np.intp)
+    by_code[code] = np.arange(n)
+
+    def products(I, J):
+        images = A[I[:, None], base_columns.take(J, axis=0)]
+        code = 0
+        for cols, span, weights, ranks in runs:
+            code = ranks.searchsorted(code * span + images[:, cols] @ weights)
+        return by_code[code]
+    return products
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
-    """Enumerate the group generated by permutations via BFS closure."""
+    """Enumerate the group generated by permutations via BFS closure; its
+    product is `_base_product` of the closed rows."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
@@ -269,6 +308,7 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
             raise ValueError("generators must share one degree")
         if sorted(g) != list(range(degree)):
             raise ValueError(f"not a permutation of 0..{degree - 1}: {g}")
+    name = name or f"<{len(gens)} gens>"
     e = identity(degree)
     elements = [e]
     index = {e: 0}
@@ -280,100 +320,38 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
             v = step(u)
             if v not in index:
                 if len(elements) >= cap:
-                    raise CapExceededError(
-                        f"order exceeds cap {cap} (group {name or 'unnamed'})"
-                    )
+                    raise _cap_error(name, len(elements) + 1, cap, f"degree {degree}")
                 index[v] = len(elements)
                 elements.append(v)
-    return FinGroup(degree, gens, elements, index, name or f"<{len(gens)} gens>")
+    return FinGroup(elements, [index[g] for g in gens],
+                    _base_product(elements, degree), name, degree)
 
 
-class RuleGroup(FinGroup):
-    """A finite group given by a product rule on integer codes.
-
-    Element i has the code codes[i], the identity the code 0, and
-    rule(a, b) is the code of the product, for two ints or two int64
-    arrays of one shape.  `mul` and `products` are one call of the rule on
-    the codes and one gather from `by_code`, the element index of each
-    code.  The group acts on its codes by left multiplication; when every
-    code in range(degree) is an element, that is the regular action, whose
-    base is point 0 with images codes[i].  Its permutation rows `elements`,
-    their `index` and the `generators` are built only when read, for
-    oracles and tests; nothing else uses them.
-    """
-
-    def __init__(self, rule, codes, gen_codes, ncodes, name):
-        self.degree = ncodes
-        self.order = len(codes)
-        self.name = name
-        self.codes = codes.tolist()
-        self.by_code = np.full(ncodes, -1, dtype=np.intp)
-        self.by_code[codes] = np.arange(self.order)
-        self.gen_indices = self.by_code[gen_codes].tolist()
-        self._rule = rule
-        self._code_array = codes
-
-    _rows = _index = None  # the permutation rows and their index, built when read
-
-    def _row(self, i: int):
-        points = np.arange(self.degree)
-        return tuple(self._rule(np.full(self.degree, self.codes[i]), points).tolist())
-
-    @property
-    def elements(self):
-        """Left multiplication on the codes, one permutation tuple per element."""
-        if self._rows is None:
-            self._rows = [self._row(i) for i in range(self.order)]
-        return self._rows
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {row: i for i, row in enumerate(self.elements)}
-        return self._index
-
-    @property
-    def generators(self):
-        return [self._row(i) for i in self.gen_indices]
-
-    @property
-    def _base_images(self):
-        return [(c,) for c in self.codes]
-
-    def mul(self, i: int, j: int) -> int:
-        return int(self.by_code[self._rule(self.codes[i], self.codes[j])])
-
-    def products(self, I, J):
-        codes = self._code_array
-        return self.by_code[self._rule(codes[np.asarray(I, dtype=np.intp)],
-                                       codes[np.asarray(J, dtype=np.intp)])]
-
-    def inverse_indices(self):
-        """The inverses that `element_orders` keeps."""
-        self.element_orders()
-        return self._inverses
-
-    def element_key(self, i: int):
-        """The element's code.  Row i of the regular action starts with
-        codes[i], the image of the identity's code 0, and codes differ, so
-        codes order the elements as their rows do."""
-        return self.codes[i]
+def _rule_row(rule, ncodes, code):
+    """Left multiplication by `code` on range(ncodes), as a permutation tuple."""
+    return tuple(rule(np.full(ncodes, code), np.arange(ncodes)).tolist())
 
 
-def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> RuleGroup:
+def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
     """Enumerate the group generated by codes under a product rule, by BFS closure.
 
-    Codes lie in range(ncodes) and 0 is the identity (see `RuleGroup`).
-    The closure runs one level at a time: the products u * s of the last
-    level's elements u with the generators s, read in the order of u and
-    then of s, add the first occurrence of each code not yet found.  That
-    is the order of the one-at-a-time BFS of `group_from_generators`.
+    Codes lie in range(ncodes) and 0 is the identity; rule(a, b) is the
+    code of the product, for two int64 arrays of one shape.  The group's
+    keys are the codes, its product is one rule call on the codes plus one
+    gather from `by_code`, the element index of each code, and its rows are
+    its left multiplications on range(ncodes) (the regular action when
+    every code is an element).  The closure runs one level at a time: the
+    products u * s of the last level's elements u with the generators s,
+    read in the order of u and then of s, add the first occurrence of each
+    code not yet found.  That is the order of the one-at-a-time BFS of
+    `group_from_generators`.
     """
     gens = np.asarray(gens, dtype=np.int64)
     if gens.ndim != 1 or not len(gens):
         raise ValueError("need at least one generator")
     if ((gens < 0) | (gens >= ncodes)).any():
         raise ValueError(f"generator codes must lie in 0..{ncodes - 1}")
+    name = name or f"<{len(gens)} gens>"
     found = np.zeros(ncodes, dtype=bool)
     found[0] = True
     levels = [np.zeros(1, dtype=np.int64)]
@@ -389,12 +367,17 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> RuleGroup
         level = new[np.sort(by_value[first])]
         order += len(level)
         if order > cap:
-            raise CapExceededError(
-                f"order exceeds cap {cap} (group {name or 'unnamed'})")
+            raise _cap_error(name, order, cap, f"ncodes {ncodes}")
         found[level] = True
         levels.append(level)
-    return RuleGroup(rule, np.concatenate(levels), gens, ncodes,
-                     name or f"<{len(gens)} gens>")
+    codes = np.concatenate(levels)
+    by_code = np.full(ncodes, -1, dtype=np.intp)
+    by_code[codes] = np.arange(len(codes))
+
+    def products(I, J):
+        return by_code[rule(codes[I], codes[J])]
+    return FinGroup(codes.tolist(), by_code[gens].tolist(), products, name, ncodes,
+                    row=partial(_rule_row, rule, ncodes))
 
 
 def conjugacy_classes(G: FinGroup):
@@ -403,7 +386,7 @@ def conjugacy_classes(G: FinGroup):
     The orbits are walked on the group's `conjugation_tables`.
     """
     n = G.order
-    tables = [table.tolist() for table in G.conjugation_tables()]
+    tables = G.conjugation_tables()[0].tolist()
     assigned = [False] * n
     classes = []
     for start in range(n):
@@ -424,55 +407,13 @@ def conjugacy_classes(G: FinGroup):
     return classes
 
 
-def subgroup_closure(G: FinGroup, gen_indices, stop_above=None):
-    """Indices of the subgroup generated by the given elements.
+def _closure(G: FinGroup, targets):
+    """Sorted indices of the elements reached from the identity by the maps
+    in the rows of `targets` (index arrays over G).
 
-    If stop_above is set, stop as soon as the partial closure exceeds it and
-    return None (used for fast generation tests).
+    A level-synchronous BFS: each level is one gather of the targets at the
+    last level's elements plus a `seen` mask.
     """
-    seen = [False] * G.order
-    seen[0] = True
-    elems = [0]
-    for u in elems:
-        for s in gen_indices:
-            v = G.mul(u, s)
-            if not seen[v]:
-                seen[v] = True
-                elems.append(v)
-                if stop_above is not None and len(elems) > stop_above:
-                    return None
-    return elems
-
-
-def generates(G: FinGroup, gen_indices) -> bool:
-    """Do the given elements generate G?
-
-    A subgroup of order > |G|/2 must be G itself, so the closure can stop
-    early either way.
-    """
-    half = G.order // 2
-    closure = subgroup_closure(G, gen_indices, stop_above=half)
-    if closure is None:
-        return True
-    return len(closure) == G.order
-
-
-def normal_closure(G: FinGroup, seeds):
-    """Sorted indices of the normal closure of the seed elements in G.
-
-    One BFS from the identity: each element found is multiplied on the right
-    by every seed and conjugated by every generator of G.  The orbit is
-    closed under both maps, hence under right multiplication by every
-    conjugate of a seed, so it is the normal closure itself.  The BFS runs
-    one level at a time on tables built once, the seeds' right
-    multiplications (one `products` batch) and G's `conjugation_tables`:
-    each level is one gather of them at the last level's elements.
-    """
-    seeds = list(seeds)
-    if not seeds:
-        return [0]
-    right = G.product_table(np.arange(G.order), seeds).T
-    targets = np.vstack([right, *G.conjugation_tables()])
     seen = np.zeros(G.order, dtype=bool)
     seen[0] = True
     level = np.zeros(1, dtype=np.intp)
@@ -484,12 +425,55 @@ def normal_closure(G: FinGroup, seeds):
     return np.flatnonzero(seen).tolist()
 
 
+def subgroup_closure(G: FinGroup, gen_indices):
+    """Sorted indices of the subgroup generated by the given elements: the
+    `_closure` of their right-multiplication tables (one `products` batch)."""
+    return _closure(G, G.product_table(np.arange(G.order), list(gen_indices)).T)
+
+
+def generates(G: FinGroup, gen_indices) -> bool:
+    """Do the given elements generate G?"""
+    return len(subgroup_closure(G, gen_indices)) == G.order
+
+
+def normal_closure(G: FinGroup, seeds):
+    """Sorted indices of the normal closure of the seed elements in G.
+
+    The `_closure` from the identity under right multiplication by every
+    seed and conjugation by every generator of G.  The orbit is closed under
+    both maps, hence under right multiplication by every conjugate of a
+    seed, so it is the normal closure itself.  Its tables are the seeds'
+    right multiplications (one `products` batch) and G's conjugation tables.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return [0]
+    right = G.product_table(np.arange(G.order), seeds).T
+    return _closure(G, np.vstack([right, G.conjugation_tables()[0]]))
+
+
 def commutator_subgroup(G: FinGroup):
     """Derived subgroup, as sorted indices: the normal closure of the
-    commutators [a, b] of generators a before b ([b, a] = [a, b]^-1)."""
-    gens = G.gen_indices
-    seeds = {G.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]}
-    return normal_closure(G, sorted(seeds - {0}))
+    commutators [a, b] = a^-1 * (b^-1 * (a * b)) of generators a before b
+    ([b, a] = [a, b]^-1).
+
+    One `products` batch gives a * b and b * a for every pair.  When all
+    pairs commute the derived subgroup is trivial and no table is built;
+    otherwise b^-1 and a^-1 are applied by the `undo` rows of the
+    conjugation tables.
+    """
+    k = len(G.gen_indices)
+    first = np.array([i for i in range(k) for _ in range(i + 1, k)], dtype=np.intp)
+    second = np.array([j for i in range(k) for j in range(i + 1, k)], dtype=np.intp)
+    gens = np.array(G.gen_indices)
+    a, b = gens[first], gens[second]
+    ab, ba = G.products(np.concatenate([a, b]), np.concatenate([b, a])).reshape(2, -1)
+    live = ab != ba
+    if not live.any():
+        return [0]
+    undo = G.conjugation_tables()[1]
+    seeds = undo[first[live], undo[second[live], ab[live]]]
+    return normal_closure(G, sorted(set(seeds.tolist())))
 
 
 def cayley_labels(tables):

@@ -211,13 +211,16 @@ class GModule:
 
     def cocycle_rows(self):
         """c(s, h) in M for each generator image s and every h: the images of
-        sigma(s) sigma(h) sigma(sh)^-1, rewritten once and kept for every U."""
+        sigma(s) sigma(h) sigma(sh)^-1, rewritten once and kept for every U.
+        The products sh come from one `product_table` batch."""
         if self._coc_rows is None:
             sd = self.schreier
-            tree, mul = sd.tree_word, sd.group.mul
+            tree, G = sd.tree_word, sd.group
+            table = G.product_table(sd.gen_images, np.arange(G.order)).tolist()
             self._coc_rows = {s: _closed_word_coords(
-                self, [tree[s] + tree[h] + _word_inverse(tree[mul(s, h)])
-                       for h in range(sd.group.order)]) for s in sd.gen_images}
+                self, [tree[s] + tree[h] + _word_inverse(tree[sh])
+                       for h, sh in enumerate(row)])
+                for s, row in zip(sd.gen_images, table)}
         return self._coc_rows
 
     def fixed_subspace_dim(self) -> int:
@@ -568,8 +571,9 @@ class CocycleError(RuntimeError):
 class ExtensionGroup:
     """An extension E of G by the quotient module M/U, with its projection.
 
-    E is a `RuleGroup` whose element codes are the pairs (v, g) read as
-    from_digits(v) * |G| + g, so the projection to G is the code mod |G|.
+    E is a `FinGroup` built by `group_from_rule`, whose keys are the codes
+    from_digits(v) * |G| + g of the pairs (v, g), so the projection to G is
+    the code mod |G|.
     """
     group: FinGroup
     base: FinGroup
@@ -579,7 +583,7 @@ class ExtensionGroup:
 
     def project(self, i: int) -> int:
         """Image in the base group of an extension element."""
-        return self.group.codes[i] % self.base.order
+        return self.group.keys[i] % self.base.order
 
 
 @dataclass
@@ -622,8 +626,8 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
 
     Elements are pairs (v, g) with v in M/U; multiplication is twisted by
     the 2-cocycle c(g, h) = image of sigma(g) sigma(h) sigma(gh)^-1, see
-    `TwistedProduct`.  E is the `RuleGroup` of that product on the codes
-    from_digits(v) * |G| + g, closed from the lifts of the triangle
+    `TwistedProduct`.  E is the `group_from_rule` group of that product on
+    the codes from_digits(v) * |G| + g, closed from the lifts of the triangle
     generators; its elements come in the BFS order of the left-regular
     action on the pairs.  |E| = |G| * ell^qdim is checked against the cap
     before any table is built.  The tables are rho(g) on M/U
@@ -657,8 +661,9 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
 
     def direct(I, J):
         """c(g, h) for g, h in zip(I, J), each by rewriting its word."""
-        return word_vectors([tree[g] + tree[h] + _word_inverse(tree[G.mul(g, h)])
-                             for g, h in zip(I, J)])
+        gh = G.products(I, J).tolist()
+        return word_vectors([tree[g] + tree[h] + _word_inverse(tree[k])
+                             for g, h, k in zip(I, J, gh)])
 
     powers = ell ** np.arange(qdim, dtype=np.int64)
     digits = np.arange(size)[:, None] // powers % ell  # v of each code

@@ -15,9 +15,9 @@ def pmul(a: Perm, b: Perm) -> Perm:
     """Product a*b, acting as b first in the image convention (a*b)[i] = a[b[i]].
 
     Kept only for the oracles `FinGroup.centralizer_size` and
-    `dessins.count_triples_brute`; the library multiplies by index
-    (`FinGroup.mul`, `FinGroup.products`) and closes groups with
-    `operator.itemgetter` gathers.
+    `dessins.count_triples_brute`; the library multiplies element indices
+    with the group's one batch product, `FinGroup.products`, and closes
+    permutation groups with `operator.itemgetter` gathers.
     """
     return tuple(map(a.__getitem__, b))
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from time import perf_counter
@@ -103,12 +104,55 @@ def test_extension_cap_checked_before_any_table(capsys, monkeypatch):
                             "2^6.PSL(2,7)#1: 168 × 2^6 = 10752 > cap 5000)\n")
 
 
+def test_cap_error_names_stage_group_and_degree(capsys):
+    code = cli.main(["dessins", "--group", "psl2:32", "--cap", "5000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("infeasible: order cap exceeded (group closure of "
+                            "PSL(2,32): 5001 elements reached > cap 5000, "
+                            "degree 33)\n")
+
+
+def test_rule_cap_error_names_stage_group_and_ncodes(capsys, monkeypatch):
+    # |E| = 1344 passes the extension's own check; its closure meets cap 1000
+    def capped(*args, **kwargs):
+        return group.group_from_rule(*args, **{**kwargs, "cap": 1000})
+
+    monkeypatch.setattr(homology, "group_from_rule", capped)
+    code = cli.main(["homology", "--group", "psl2:7", "--ell", "2",
+                     "--invariant-dim", "3", "--extensions"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("infeasible: order cap exceeded (group closure of "
+                            "2^3.PSL(2,7)#1: 1074 elements reached > cap 1000, "
+                            "ncodes 1344)\n")
+
+
+# sha256 prefixes of reports that must stay byte-identical across changes
+# that only restructure or speed up the library; a change that alters one of
+# these reports on purpose updates its prefix and says so
+REPORT_PREFIXES = {
+    ("census", "--max-genus", "17"): "27bde7ddab613033",
+    ("census", "--max-genus", "146"): "9e25f697ff64fee0",
+    ("dessins", "--group", "psl2:27", "--characters"): "52c3fb0f1cfc52b3",
+    ("homology", "--group", "psl2:27", "--ell", "2"): "8be1bf99901ad001",
+    ("dessins", "--group", "psl2:29"): "287962a80131dc50",
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_PREFIXES, ids=" ".join)
+def test_report_bytes_are_pinned(argv, capsys):
+    code, out = run_main(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == REPORT_PREFIXES[argv]
+
+
 def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
     # the class order of the order-1344 groups compares codes, not rows
-    def refuse(self, i):
+    def refuse(rule, ncodes, code):
         raise AssertionError("permutation row built")
 
-    monkeypatch.setattr(group.RuleGroup, "_row", refuse)
+    monkeypatch.setattr(group, "_rule_row", refuse)
     code, out = run_main(["census", "--max-genus", "17"], capsys)
     assert code == 0 and json.loads(out)["counts"]["17"] == 2
 

@@ -14,6 +14,7 @@ from hurwitz.group import (CapExceededError, classify_pairs, commutator_subgroup
                            subgroup_closure)
 from hurwitz.origami import enumerate_origami_pairs, origami_existence
 from hurwitz.perms import pinv, pmul, porder
+from conftest import base_images, tuple_mul
 from test_relabel import CASES as RELABEL_CASES, _relabel
 
 
@@ -92,11 +93,15 @@ def test_normal_closure_is_subgroup_generated_by_the_class(G):
             assert normal_closure(G, [i]) == expected
 
 
+def _scalar_inverse(G, i):
+    return G.index[pinv(G.elements[i])]
+
+
 def _scalar_normal_closure(G, seeds):
     """Oracle for normal_closure: a queue BFS from the identity with one
-    scalar `mul` per right multiplication by a seed and two per conjugate."""
-    mul = G.mul
-    conjugators = [(G.inv(g), g) for g in G.gen_indices]
+    scalar product per right multiplication by a seed and two per conjugate."""
+    mul = tuple_mul(G)
+    conjugators = [(_scalar_inverse(G, g), g) for g in G.gen_indices]
     seen = {0}
     queue = [0]
     for u in queue:
@@ -160,11 +165,57 @@ def test_normal_closure_matches_scalar_oracle(build):
         assert normal_closure(G, []) == normal_closure(G, [0]) == [0]
 
 
+def _scalar_subgroup_closure(G, gen_indices, stop_above=None):
+    """Oracle for subgroup_closure: a queue BFS from the identity with one
+    scalar product per edge.  With stop_above set, it returns None as soon
+    as the partial closure exceeds it."""
+    mul = tuple_mul(G)
+    seen = [False] * G.order
+    seen[0] = True
+    elems = [0]
+    for u in elems:
+        for s in gen_indices:
+            v = mul(u, s)
+            if not seen[v]:
+                seen[v] = True
+                elems.append(v)
+                if stop_above is not None and len(elems) > stop_above:
+                    return None
+    return elems
+
+
+def _scalar_generates(G, gen_indices):
+    """Oracle for generates: a subgroup of order > |G|/2 is G itself, so the
+    scalar BFS stops early either way."""
+    closure = _scalar_subgroup_closure(G, gen_indices, stop_above=G.order // 2)
+    return closure is None or len(closure) == G.order
+
+
+@pytest.mark.parametrize("build", NORMAL_CLOSURE_CASES.values(),
+                         ids=NORMAL_CLOSURE_CASES.keys())
+def test_subgroup_closure_matches_scalar_oracle(build):
+    """The level BFS against the queue BFS: on the cyclic subgroup <s> of
+    every class representative s (what `charfix._coset_fixed_counts`
+    reads), on the generators, on the identity pair and on random pairs."""
+    for G in build():
+        for cls in G.conjugacy_classes():
+            s = cls[0]
+            assert subgroup_closure(G, [s]) == sorted(_scalar_subgroup_closure(G, [s]))
+        rng = random.Random(G.order)
+        pairs = [tuple(G.gen_indices), (0, 0)]
+        pairs += [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(20)]
+        verdicts = [generates(G, pair) for pair in pairs]
+        assert verdicts == [_scalar_generates(G, pair) for pair in pairs]
+        assert verdicts[:2] == [True, G.order == 1]
+        for pair in pairs:
+            assert subgroup_closure(G, pair) == sorted(_scalar_subgroup_closure(G, pair))
+
+
 def test_commutator_subgroup_is_table_driven(monkeypatch):
     """On PSL(2,13) the normal-closure BFS makes no scalar `mul`, and the
     derived subgroup takes at most five `products` batches however many
-    levels the BFS has: one for the seed's right-multiplication table and
-    two per generator for the conjugation tables."""
+    levels the BFS has: today one for the generator pairs, one for the
+    conjugation tables and one for the seeds' right-multiplication table."""
     G = catalog.psl2(13)
     calls, inside, entered = [], [], []
     products, mul, closure = group.FinGroup.products, group.FinGroup.mul, normal_closure
@@ -216,8 +267,9 @@ MUL_CASES = {
                          ids=MUL_CASES.keys())
 def test_mul_matches_the_tuple_product(build, base_length):
     G = build()
-    assert {len(images) for images in G._base_images} == {base_length}
-    assert len(set(G._base_images)) == G.order
+    images = base_images(G)
+    assert {len(im) for im in images} == {base_length}
+    assert len(set(images)) == G.order
     step = max(1, G.order // 40)
     for i in range(0, G.order, step):
         for j in range(G.order - 1, -1, -step):
@@ -232,28 +284,32 @@ def test_products_match_mul(build):
     pairs = [(i, j) for i in range(0, G.order, step)
              for j in range(G.order - 1, -1, -step)]
     I, J = zip(*pairs)
-    assert G.products(I, J).tolist() == [G.mul(i, j) for i, j in pairs]
+    mul = tuple_mul(G)
+    assert G.products(I, J).tolist() == [mul(i, j) for i, j in pairs]
+    assert [G.mul(i, j) for i, j in pairs] == [mul(i, j) for i, j in pairs]
 
 
 def test_products_exact_past_int64_codes():
     # 28**14 base-image codes do not fit in int64; the runs are re-ranked
     G = catalog.abelian([2] * 14)
-    assert G.degree ** len(G._base) > 2 ** 63
+    assert G.degree ** len(base_images(G)[0]) > 2 ** 63
     rng = random.Random(14)
     I = [rng.randrange(G.order) for _ in range(2000)]
     J = [rng.randrange(G.order) for _ in range(2000)]
-    assert G.products(I, J).tolist() == [G.mul(i, j) for i, j in zip(I, J)]
+    mul = tuple_mul(G)
+    assert G.products(I, J).tolist() == [mul(i, j) for i, j in zip(I, J)]
     assert G.products([], []).tolist() == []
 
 
 def _scalar_key(G, gens):
-    """Oracle for kernel_key: the Cayley BFS with one scalar `mul` per edge."""
+    """Oracle for kernel_key: the Cayley BFS with one scalar product per edge."""
+    mul = tuple_mul(G)
     number = {0: 0}
     queue = [0]
     labels = []
     for u in queue:
         for s in gens:
-            v = G.mul(u, s)
+            v = mul(u, s)
             if v not in number:
                 number[v] = len(queue)
                 queue.append(v)
@@ -342,7 +398,7 @@ def test_rule_closure_matches_permutation_closure(gens):
     G = group_from_rule(_affine_rule, gens, 42)
     P = group_from_generators([tuple(_affine_rule(s, c) for c in range(42))
                                for s in gens])
-    assert G.codes == [e[0] for e in P.elements]
+    assert G.keys == [e[0] for e in P.elements]
     assert G.gen_indices == P.gen_indices
     assert [G.mul(i, j) for i in range(G.order) for j in range(G.order)] == \
         [P.mul(i, j) for i in range(P.order) for j in range(P.order)]
@@ -522,11 +578,12 @@ def test_pruned_scan_refuses_candidates_that_are_not_orbit_unions():
 
 
 def _scalar_classes(G):
-    """Oracle for conjugacy_classes: the orbit BFS with two scalar `mul` per conjugate."""
+    """Oracle for conjugacy_classes: the orbit BFS with two scalar products per conjugate."""
     n = G.order
+    mul = tuple_mul(G)
     assigned = [False] * n
     gen_idx = [G.index[g] for g in G.generators]
-    gen_inv = [G.inv(g) for g in gen_idx]
+    gen_inv = [_scalar_inverse(G, g) for g in gen_idx]
     classes = []
     for start in range(n):
         if assigned[start]:
@@ -537,7 +594,7 @@ def _scalar_classes(G):
         while queue:
             i = queue.pop()
             for gi, gii in zip(gen_idx, gen_inv):
-                c = G.mul(G.mul(gii, i), gi)
+                c = mul(mul(gii, i), gi)
                 if not assigned[c]:
                     assigned[c] = True
                     orbit.append(c)

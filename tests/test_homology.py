@@ -9,12 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from hurwitz import catalog, dessins, homology
 from hurwitz.fields import from_digits, to_digits
 from hurwitz.group import (FinGroup, cayley_labels, group_from_generators,
-                           kernel_key, pair_isomorphic)
+                           group_from_rule, kernel_key, pair_isomorphic)
 from hurwitz.homology import (SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
                               ScanInfeasibleError, extension_quotient,
                               invariant_submodules, kernel_mod_ell_homology,
                               klein_extension_groups, rref_mod, schreier_data,
                               submodule_lattice)
+from hurwitz.perms import pinv
+
+from conftest import tuple_mul
 from test_pair_iso import _evaluate, _word_map
 
 
@@ -652,7 +655,7 @@ def _scalar_cocycle(mod, U):
     """Oracle for the cocycle table: c(g, h) in M/U by rewriting
     sigma(g) sigma(h) sigma(gh)^-1."""
     sd = mod.schreier
-    tree, mul = sd.tree_word, sd.group.mul
+    tree, mul = sd.tree_word, tuple_mul(sd.group)
     _, _, word_value = _scalar_quotient(mod, U)
 
     def coc(g, h):
@@ -666,6 +669,7 @@ def _scalar_left_generators(mod, U):
     of x and y, one point (v, g) = from_digits(v) * |G| + g at a time."""
     sd, ell = mod.schreier, mod.ell
     G = sd.group
+    mul = tuple_mul(G)
     freeU, to_quotient, word_value = _scalar_quotient(mod, U)
     qdim = len(freeU)
     inverse = _inverse
@@ -675,7 +679,7 @@ def _scalar_left_generators(mod, U):
         A = mod.action_of(s)
         rho_cols = [to_quotient(A[:, c]) for c in freeU]
         c_row = [word_value(sd.tree_word[s] + sd.tree_word[g]
-                            + inverse(sd.tree_word[G.mul(s, g)]))
+                            + inverse(sd.tree_word[mul(s, g)]))
                  for g in range(G.order)]
         images = []
         for point in range(ell ** qdim * G.order):
@@ -684,7 +688,7 @@ def _scalar_left_generators(mod, U):
             sv = [sum(v[j] * rho_cols[j][i] for j in range(qdim)) % ell
                   for i in range(qdim)]
             v2 = [(w[i] + sv[i] + c_row[g][i]) % ell for i in range(qdim)]
-            images.append(from_digits(v2, ell) * G.order + G.mul(s, g))
+            images.append(from_digits(v2, ell) * G.order + mul(s, g))
         return tuple(images)
 
     gx, gy = sd.gen_images
@@ -739,9 +743,9 @@ def test_product_rule_matches_permutation_build(klein, case):
     E = ext.group
     P = group_from_generators(_scalar_left_generators(m, U))
     assert ext.split == _split_oracle(P, m.schreier.group, m.schreier.gen_images)
-    inverses = P.inverse_indices()  # from the inverse permutations
+    inverses = [P.index[pinv(e)] for e in P.elements]
     assert E.order == P.order
-    assert E.codes == [e[0] for e in P.elements]
+    assert E.keys == [e[0] for e in P.elements]
     rng = random.Random(E.order)
     pairs = [(rng.randrange(E.order), rng.randrange(E.order)) for _ in range(500)]
     expected = [P.mul(i, j) for i, j in pairs]
@@ -752,19 +756,32 @@ def test_product_rule_matches_permutation_build(klein, case):
     assert E.conjugacy_classes() == P.conjugacy_classes()
 
 
-def test_cocycle_table_matches_rewriting_on_every_pair(klein):
+def _twisted_product(mod, U, monkeypatch):
+    """The `TwistedProduct` that `extension_quotient` hands to `group_from_rule`."""
+    rules = []
+
+    def capture(rule, *args, **kwargs):
+        rules.append(rule)
+        return group_from_rule(rule, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "group_from_rule", capture)
+    extension_quotient(mod, U)
+    return rules[0]
+
+
+def test_cocycle_table_matches_rewriting_on_every_pair(klein, monkeypatch):
     _, _, mod = klein
     U = invariant_submodules(mod, 3)[0]
-    table = extension_quotient(mod, U).group._rule.coc
+    table = _twisted_product(mod, U, monkeypatch).coc
     coc = _scalar_cocycle(mod, U)
     n = mod.schreier.group.order
     assert table.tolist() == [[coc(g, h) for h in range(n)] for g in range(n)]
 
 
-def test_verify_cocycle_catches_one_corrupted_entry(klein):
+def test_verify_cocycle_catches_one_corrupted_entry(klein, monkeypatch):
     _, _, mod = klein
     U = invariant_submodules(mod, 3)[0]
-    prod = extension_quotient(mod, U).group._rule
+    prod = _twisted_product(mod, U, monkeypatch)
     coc = _scalar_cocycle(mod, U)
 
     def direct(I, J):
@@ -808,10 +825,10 @@ def test_splitting_test_builds_no_right_mult_table(klein, monkeypatch):
 
 
 def test_extension_groups_build_no_element_array():
-    # the splitting test stays on the scalar product, so the order-1344
-    # groups never hold a 1344 x 1344 element array after their build
+    # the order-1344 groups multiply codes, so they never hold their
+    # 1344 permutation rows of degree 1344 after their build
     for ext in klein_extension_groups():
-        assert ext.group._array is None
+        assert ext.group._rows is None
 
 
 def test_genus17_pipeline_distinct_kernels():

@@ -2,7 +2,8 @@
 
 The oracle evaluates the candidate map on every element (via generator
 words from a BFS) and then checks full multiplicativity on all |G|^2
-products, independently of the propagation algorithm under test.
+products, independently of the propagation algorithm under test: its
+products are `pmul` on the permutation rows (`conftest.tuple_mul`).
 """
 
 import itertools
@@ -12,17 +13,20 @@ import pytest
 from hurwitz import catalog
 from hurwitz.group import generates, pair_isomorphic
 
+from conftest import tuple_mul
+
 
 def _word_map(G, pair):
     """words[i] = generator word reaching element i from the identity."""
     x, y = pair
+    mul = tuple_mul(G)
     words = {0: ()}
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
             for letter, s in ((0, x), (1, y)):
-                v = G.mul(u, s)
+                v = mul(u, s)
                 if v not in words:
                     words[v] = words[u] + (letter,)
                     nxt.append(v)
@@ -32,9 +36,10 @@ def _word_map(G, pair):
 
 
 def _evaluate(G, word, pair):
+    mul = tuple_mul(G)
     out = 0
     for letter in word:
-        out = G.mul(out, pair[letter])
+        out = mul(out, pair[letter])
     return out
 
 
@@ -49,9 +54,10 @@ def brute_force_extends(G, pair1, pair2):
     # the word-induced map must itself send pair1 to pair2
     if phi[pair1[0]] != pair2[0] or phi[pair1[1]] != pair2[1]:
         return False
+    mul = tuple_mul(G)
     for a in range(G.order):
         for b in range(G.order):
-            if phi[G.mul(a, b)] != G.mul(phi[a], phi[b]):
+            if phi[mul(a, b)] != mul(phi[a], phi[b]):
                 return False
     return True
 

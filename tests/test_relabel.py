@@ -21,6 +21,8 @@ from hurwitz.group import generates, group_from_generators, kernel_key
 from hurwitz.origami import enumerate_origami_pairs
 from hurwitz.perms import pmul
 
+from conftest import base_images
+
 CASES = [
     (catalog.psl2(7), (2, 3, 7)),
     (catalog.alternating(5), (2, 5, 5)),
@@ -74,7 +76,7 @@ def test_kernel_key_is_representation_independent(case, data):
     assert (key is None) == (not generates(G, pair))
     # the relabelled group has its own base; its products still agree
     a, b = phi[pair[0]], phi[pair[1]]
-    assert len(set(H._base_images)) == H.order
+    assert len(set(base_images(H))) == H.order
     assert H.mul(a, b) == H.index[pmul(H.elements[a], H.elements[b])]
     assert H.products([a] * H.order, range(H.order)).tolist() == \
         [H.mul(a, j) for j in range(H.order)]
