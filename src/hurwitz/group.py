@@ -206,7 +206,7 @@ class FinGroup:
         conj[k][u] = g^-1 * u * g and undo[k][v] = g^-1 * v (cached).
 
         The products u * g and g * u for every u and g take `products`
-        batches of max(BATCH, |G|) entries; undo inverts the permutation
+        batches of at most max(BATCH, |G|) entries; undo inverts the permutation
         u -> g * u, so undo[k][0] is g^-1 and conj[k] is undo[k] read at
         u * g.
         """

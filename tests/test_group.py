@@ -214,8 +214,9 @@ def test_subgroup_closure_matches_scalar_oracle(build):
 def test_commutator_subgroup_is_table_driven(monkeypatch):
     """On PSL(2,13) the normal-closure BFS makes no scalar `mul`, and the
     derived subgroup takes at most five `products` batches however many
-    levels the BFS has: today one for the generator pairs, one for the
-    conjugation tables and one for the seeds' right-multiplication table."""
+    levels the BFS has (three are made: one for the generator pairs, one
+    for the conjugation tables and one for the seeds' right-multiplication
+    table)."""
     G = catalog.psl2(13)
     calls, inside, entered = [], [], []
     products, mul, closure = group.FinGroup.products, group.FinGroup.mul, normal_closure
