@@ -8,7 +8,7 @@ the table-based approach honest; everything in scope fits well below it.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from operator import itemgetter
 
@@ -255,50 +255,47 @@ def _base_product(elements, degree):
     a function of two index arrays.
 
     The product a*b maps a base point p to a[b[p]], so its base images are
-    a's images of b's base images: one gather from the n x degree element
-    array (smallest unsigned dtype that holds the points), looked up by an
-    exact int64 code.  The base is cut into runs of columns short enough
-    that n * degree**run stays below 2**63.  A run's images are read as
-    base-`degree` digits after the previous run's code, and the result is
-    replaced by its rank among the elements' codes, so codes stay exact and
-    the last run's ranks number the elements 0..n-1.
+    a's images of b's base images, one gather per base point from the
+    flattened n x degree element array (smallest unsigned dtype that holds
+    the points).  A prefix of base images has as code its rank among the
+    elements' prefixes, in lexicographic order; a base point's dense table
+    maps code * degree + image to the code of the longer prefix (at most
+    n * degree entries), and `by_code` maps the last codes to indices.
     """
     n = len(elements)
     A = np.fromiter(chain.from_iterable(elements),
                     dtype=np.min_scalar_type(max(degree - 1, 0)),
                     count=n * degree).reshape(n, degree)
-    base = _base(elements)
-    base_columns = A[:, base].astype(np.intp)
-    run = 1
-    while n * max(degree, 2) ** (run + 1) < 2 ** 63:
-        run += 1
-    runs = []
-    code = 0
-    for start in range(0, max(len(base), 1), run):
-        cols = slice(start, start + run)
-        width = len(base[cols])
-        weights = np.array([degree ** (width - 1 - c) for c in range(width)],
-                           dtype=np.int64)
-        code = code * degree ** width + base_columns[:, cols] @ weights
+    columns = [A[:, p].copy() for p in _base(elements)]
+    degree = np.intp(degree)  # keeps int32 codes * degree in intp
+    tables = []
+    code, count = np.zeros(n, dtype=np.intp), 1
+    for column in columns:
+        key = code * degree + column
+        present = np.zeros(count * degree, dtype=bool)
+        present[key] = True
         # not np.unique: it imports numpy.ma, 1.6 MB of resident memory
-        ranks = np.array(sorted(set(code.tolist())), dtype=np.int64)
-        code = ranks.searchsorted(code)
-        runs.append((cols, degree ** width, weights, ranks))
+        found = np.flatnonzero(present)
+        table = np.zeros(len(present), dtype=np.int32)
+        table[found] = np.arange(len(found))
+        code, count = table[key], len(found)
+        tables.append(table)
     by_code = np.empty(n, dtype=np.intp)
     by_code[code] = np.arange(n)
+    flat = A.ravel()
 
     def products(I, J):
-        images = A[I[:, None], base_columns.take(J, axis=0)]
-        code = 0
-        for cols, span, weights, ranks in runs:
-            code = ranks.searchsorted(code * span + images[:, cols] @ weights)
+        rows = I * degree
+        code = np.zeros(len(I), dtype=np.intp)
+        for column, table in zip(columns, tables):
+            code = table[code * degree + flat[rows + column[J]]]
         return by_code[code]
     return products
 
 
 def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
     """Enumerate the group generated by permutations via BFS closure; its
-    product is `_base_product` of the closed rows."""
+    product, `_base_product` of the closed rows, is built when first called."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise ValueError("need at least one generator")
@@ -323,8 +320,12 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
                     raise _cap_error(name, len(elements) + 1, cap, f"degree {degree}")
                 index[v] = len(elements)
                 elements.append(v)
-    return FinGroup(elements, [index[g] for g in gens],
-                    _base_product(elements, degree), name, degree)
+
+    # many groups are built only to read their order; the product refers not
+    # to the group, lest a cycle keep it alive until a full collection
+    build = cache(partial(_base_product, elements, degree))
+    return FinGroup(elements, [index[g] for g in gens], lambda I, J: build()(I, J),
+                    name, degree)
 
 
 def _rule_row(rule, ncodes, code):

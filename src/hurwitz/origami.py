@@ -56,14 +56,12 @@ def enumerate_origami_pairs(G: FinGroup):
     `kernel_key(G, (a, b))`.  Each class keeps its first candidate in scan
     order.  Its `batch` gives the commutators of a chunk of representatives
     with every b in three `products` calls.  Every commutator lies in the
-    derived subgroup, so a group whose derived subgroup has no involution
-    is not scanned.
+    derived subgroup G', so a group whose G' has no involution, that is
+    (by Cauchy's and Lagrange's theorems) whose |G'| is odd, is not scanned.
     """
-    if G.order % 4 != 0:
+    if G.order % 4 != 0 or len(G.commutator_subgroup()) % 2:
         return []
     orders = np.array(G.element_orders())
-    if not (orders[G.commutator_subgroup()] == 2).any():
-        return []
     bs = np.arange(G.order)
     inverses = np.array(G.inverse_indices())
 

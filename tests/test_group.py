@@ -254,13 +254,17 @@ def test_closure_and_inverse_laws(i, j):
 
 
 # one base shape each: empty, one point per factor, three points of the
-# projective line, two points, and one point of a regular action
+# projective line, two points, one point of a regular action, the long
+# bases of S8 and A8, and two points of SL(2,13) on its 168 nonzero vectors
 MUL_CASES = {
     "C1": (lambda: catalog.cyclic(1), 0),
     "C2xC2xC3": (lambda: catalog.abelian([2, 2, 3]), 3),
     "PSL(2,8)": (lambda: catalog.psl2(8), 3),
     "C8:C2(t=5)": (lambda: catalog.metacyclic(8, 5), 2),
     "2^3.PSL(2,7)#1": (lambda: homology.klein_extension_groups()[0].group, 1),
+    "S8": (lambda: catalog.symmetric(8), 7),
+    "A8": (lambda: catalog.alternating(8), 6),
+    "SL(2,13)": (lambda: catalog.sl2(13), 2),
 }
 
 
@@ -288,10 +292,13 @@ def test_products_match_mul(build):
     mul = tuple_mul(G)
     assert G.products(I, J).tolist() == [mul(i, j) for i, j in pairs]
     assert [G.mul(i, j) for i, j in pairs] == [mul(i, j) for i, j in pairs]
+    empty = G.products([], [])
+    assert empty.dtype == np.intp and empty.tolist() == []
 
 
 def test_products_exact_past_int64_codes():
-    # 28**14 base-image codes do not fit in int64; the runs are re-ranked
+    # 28**14 base-image tuples would not fit an int64 code; each point's
+    # dense table ranks the prefixes, so a code stays below |G| * degree
     G = catalog.abelian([2] * 14)
     assert G.degree ** len(base_images(G)[0]) > 2 ** 63
     rng = random.Random(14)
@@ -300,6 +307,61 @@ def test_products_exact_past_int64_codes():
     mul = tuple_mul(G)
     assert G.products(I, J).tolist() == [mul(i, j) for i, j in zip(I, J)]
     assert G.products([], []).tolist() == []
+
+
+def test_base_product_built_on_first_products_call(monkeypatch):
+    """`group_from_generators` builds the base-image product only for the
+    groups whose `products` is called.  Over the genus 2..18 origami
+    searches that is 111 of the 155 groups built: the others are
+    `semidirect` matrix groups, closed only to read their order, and
+    factors or duplicates that `groups_of_order` drops."""
+    built, multiplied, based = [], set(), set()
+    init, products, base_product = (group.FinGroup.__init__, group.FinGroup.products,
+                                    group._base_product)
+
+    def counted_init(self, keys, *args, **kwargs):
+        built.append(keys)  # kept alive, so no id is reused
+        init(self, keys, *args, **kwargs)
+
+    def counted_products(self, I, J):
+        multiplied.add(id(self.keys))
+        return products(self, I, J)
+
+    def counted_base_product(elements, degree):
+        based.add(id(elements))
+        return base_product(elements, degree)
+
+    monkeypatch.setattr(group.FinGroup, "__init__", counted_init)
+    monkeypatch.setattr(group.FinGroup, "products", counted_products)
+    monkeypatch.setattr(group, "_base_product", counted_base_product)
+    for g in range(2, 19):
+        origami_existence(g)
+    assert based == multiplied
+    assert (len(based), len(built)) == (111, 155)
+
+
+def test_cauchy_exit_matches_the_involution_oracle(monkeypatch):
+    """G' holds an involution exactly when |G'| is even, and
+    `enumerate_origami_pairs` computes element orders only then."""
+    groups = _origami18_groups()
+    calls = []
+    element_orders = group.FinGroup.element_orders
+
+    def counted(self):
+        calls.append(self)
+        return element_orders(self)
+
+    monkeypatch.setattr(group.FinGroup, "element_orders", counted)
+    exits = 0
+    for G in groups:
+        before = len(calls)
+        enumerate_origami_pairs(G)
+        scanned = len(calls) > before
+        derived = G.commutator_subgroup()
+        involution = bool((np.array(G.element_orders())[derived] == 2).any())
+        assert (len(derived) % 2 == 0) == involution == scanned, G.name
+        exits += not scanned
+    assert 0 < exits < len(groups)
 
 
 def _scalar_key(G, gens):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hurwitz
 from hurwitz import catalog
 from hurwitz.origami import (enumerate_origami_pairs, origami_existence,
                              origami_genus)
@@ -109,3 +115,19 @@ def test_genus_17_witness_scan_batches_its_products():
     G.products = counting
     assert enumerate_origami_pairs(G)
     assert len(calls) < 100
+
+
+def test_origami_searches_never_import_numpy_ma():
+    """`origami --genus 2..18` in a fresh interpreter leaves `numpy.ma` (which
+    `np.unique` imports, about 1.6 MB resident) unimported."""
+    code = ("import contextlib, io, sys\n"
+            "from hurwitz import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['origami', '--genus', str(g)]) for g in range(2, 19)]\n"
+            "print(codes == [0] * 17, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(hurwitz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.split() == ["True", "False"]

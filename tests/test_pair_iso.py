@@ -63,8 +63,10 @@ def brute_force_extends(G, pair1, pair2):
 
 
 def _generating_pairs(G, limit=None):
-    pairs = [(a, b) for a in range(G.order) for b in range(G.order)
-             if generates(G, (a, b))]
+    pairs = ((a, b) for a in range(G.order) for b in range(G.order))
+    if limit == 1:  # the first generating pair, which the sampling below keeps
+        return [next(p for p in pairs if generates(G, p))]
+    pairs = [p for p in pairs if generates(G, p)]
     if limit is not None and len(pairs) > limit:
         step = len(pairs) // limit
         pairs = pairs[::step][:limit]
