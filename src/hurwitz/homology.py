@@ -3,20 +3,23 @@
 Given the presentation <x, y | x^p, y^q, (xy)^r> and an epimorphism onto a
 finite group G, the kernel's coset space is G itself (the regular action),
 so no coset enumeration is needed.  A BFS spanning tree of the Cayley
-graph, built one level at a time, yields Schreier generators.  A relator
+graph, built one level at a time, yields Schreier generators; words are
+rows of move codes, rewritten many at a time in lockstep.  A relator
 w^k rewritten from the cosets of one cycle of right multiplication by w
 gives one relation mod ell; those of x^p and y^q are multiples of disjoint
 indicator vectors and are solved in closed form, so only the (xy)^r
 relations reach the sparse RREF, which leaves the kernel's mod-ell
 homology as a G-module.  Invariant submodules then produce
-extension quotients via an explicit 2-cocycle, which is how the genus-17
-Hurwitz groups are built from the Klein-quartic kernel.
+extension quotients via an explicit 2-cocycle, read off the same tree one
+level at a time, which is how the genus-17 Hurwitz groups are built from
+the Klein-quartic kernel.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,10 +28,20 @@ from .fields import Fq, is_prime, to_digits
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
 X, Y = 0, 1
+# the letters as move codes x, x^-1, y, y^-1; PAD reads nothing and stays put
+MOVES = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
+PAD = 4
+SIGN = np.array([1, -1, 1, -1, 0])
+INVERSE = np.array([1, 0, 3, 2, PAD], dtype=np.int8)
 
 
 def _word_inverse(word):
     return [(g, -s) for g, s in reversed(word)]
+
+
+def _inverse_words(words):
+    """The inverses of PAD-filled rows of move codes (their PADs come first)."""
+    return INVERSE[words[:, ::-1]]
 
 
 @dataclass
@@ -45,16 +58,25 @@ class SchreierData:
     gen_images: tuple       # (index of phi(x), index of phi(y)) in G
     right: list             # right[g][coset] for g in (x, y)
     right_inv: list
-    tree_word: list         # tree_word[coset] = word from identity coset
     column: dict            # (coset, gen id) -> column index, tree edges absent
     columns: list           # [(coset, gen id)] in column order
+    levels: list            # per BFS level: (cosets, parents, moves to them)
+    letters: np.ndarray     # letters[coset]: sigma(coset) as moves, PAD-filled
+    next_coset: np.ndarray  # next_coset[m, u]: where move m (or PAD) leads from u
+    edge_column: np.ndarray  # [m, u]: the column move m reads at u, or num_schreier
 
     @property
     def num_schreier(self) -> int:
         return len(self.columns)
 
+    @cached_property
+    def tree_word(self):
+        """tree_word[coset] = sigma(coset) as letters, from the identity coset."""
+        return [[MOVES[m] for m in row if m != PAD] for row in self.letters.tolist()]
+
     def rewrite(self, word, start: int = 0, vec=None):
-        """Accumulate the Schreier-generator image of a word traced from a coset."""
+        """Accumulate the Schreier-generator image of a word traced from a
+        coset, one letter at a time: the oracle of `rewrite_words`."""
         if vec is None:
             vec = np.zeros(self.num_schreier, dtype=np.int64)
         u = start
@@ -70,6 +92,25 @@ class SchreierData:
                 if col is not None:
                     vec[col] -= 1
         return vec, u
+
+    def rewrite_words(self, words, weights):
+        """The images of words traced in lockstep from the identity coset.
+
+        words is an array of PAD-filled rows of move codes; weights has a
+        row per Schreier column and a last, zero row for the tree edges.
+        Returns, for each word, the int64 sum of weights[j] with the sign of
+        each letter that reads column j, and the coset the word ends at.
+        """
+        words = np.asarray(words, dtype=np.intp)
+        n = self.group.order
+        step, read = self.next_coset.ravel(), self.edge_column.ravel()
+        image = np.zeros((len(words), weights.shape[1]), dtype=np.int64)
+        u = np.zeros(len(words), dtype=np.intp)
+        for m in words.T:
+            at = m * n + u
+            image += SIGN[m][:, None] * weights[read[at]]
+            u = step[at]
+        return image, u
 
     def schreier_word(self, col: int):
         """The (u, s) Schreier generator as a word in x, y."""
@@ -94,15 +135,16 @@ def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
     inv_x, inv_y = G.inv(gx), G.inv(gy)
     right_inv = [G.right_mult_table(inv_x), G.right_mult_table(inv_y)]
     n = G.order
-    moves = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
     targets = np.array([right[X], right_inv[X], right[Y], right_inv[Y]])
     found = np.zeros(n, dtype=bool)
     found[0] = True
     tree = np.zeros((n, 2), dtype=bool)  # (coset, gen) edges in the tree
-    level, levels = np.zeros(1, dtype=np.int64), []
-    while len(level):
+    level, levels = np.zeros(1, dtype=np.intp), []
+    while True:
         reach = targets[:, level].T.ravel()
         fresh = np.flatnonzero(~found[reach])
+        if not len(fresh):
+            break
         _, first = np.unique(reach[fresh], return_index=True)
         step = fresh[np.sort(first)]
         src, move = level[step // 4], step % 4
@@ -113,15 +155,21 @@ def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
         levels.append((level, src, move))
     if not found.all():
         raise ValueError("images do not generate the group")
-    tree_word = [None] * n
-    tree_word[0] = []
-    for level, src, move in levels:
-        for v, u, m in zip(level.tolist(), src.tolist(), move.tolist()):
-            tree_word[v] = tree_word[u] + [moves[m]]
-    columns = [divmod(f, 2) for f in np.flatnonzero(~tree.ravel()).tolist()]
-    column = {ug: j for j, ug in enumerate(columns)}
+    letters = np.full((n, len(levels)), PAD, dtype=np.int8)
+    for depth, (level, src, move) in enumerate(levels):
+        letters[level] = letters[src]
+        letters[level, depth] = move
+    cols = np.flatnonzero(~tree.ravel())
+    columns = [divmod(f, 2) for f in cols.tolist()]
+    label = np.full(2 * n, len(cols))
+    label[cols] = np.arange(len(cols))
+    label = label.reshape(n, 2)
+    # a letter g at u reads (u, g); g^-1 at u reads (u*g^-1, g)
+    edge_column = np.vstack([label[:, X], label[targets[1], X], label[:, Y],
+                             label[targets[3], Y], np.full(n, len(cols))])
     return SchreierData(G, tuple(type_), (gx, gy), right, right_inv,
-                        tree_word, column, columns)
+                        {ug: j for j, ug in enumerate(columns)}, columns, levels,
+                        letters, np.vstack([targets, np.arange(n)]), edge_column)
 
 
 # -- linear algebra over F_ell ------------------------------------------------
@@ -196,32 +244,28 @@ class GModule:
     _block: np.ndarray = field(repr=False, default=None)
     _pivots: np.ndarray = field(repr=False, default=None)
     _free: np.ndarray = field(repr=False, default=None)
-    _rho: dict = field(repr=False, default=None)
-    _coc_rows: dict = field(repr=False, default=None)
+    _rho: np.ndarray = field(repr=False, default=None)
 
     def project(self, vec):
         return _quotient_coords(vec, self._block, self._pivots, self._free,
                                 self.ell)
 
-    def action_of(self, g: int):
-        """Action matrix of an arbitrary element of G, via its tree word."""
+    def column_coords(self):
+        """Coordinates in M of each Schreier column, and a zero last row for
+        the tree edges: the weights of `SchreierData.rewrite_words`."""
+        ell = self.ell
+        coords = np.zeros((self.schreier.num_schreier + 1, self.dim),
+                          dtype=np.min_scalar_type(ell - 1))
+        coords[self._free, np.arange(self.dim)] = 1
+        coords[self._pivots] = (ell - self._block.astype(coords.dtype)) % ell
+        return coords
+
+    def action_of(self, g):
+        """Action matrix of an element of G, or their stack for an index
+        array or slice, from the table `_propagate_actions` fills once."""
         if self._rho is None:
             self._rho = _propagate_actions(self)
         return self._rho[g]
-
-    def cocycle_rows(self):
-        """c(s, h) in M for each generator image s and every h: the images of
-        sigma(s) sigma(h) sigma(sh)^-1, rewritten once and kept for every U.
-        The products sh come from one `product_table` batch."""
-        if self._coc_rows is None:
-            sd = self.schreier
-            tree, G = sd.tree_word, sd.group
-            table = G.product_table(sd.gen_images, np.arange(G.order)).tolist()
-            self._coc_rows = {s: _closed_word_coords(
-                self, [tree[s] + tree[h] + _word_inverse(tree[sh])
-                       for h, sh in enumerate(row)])
-                for s, row in zip(sd.gen_images, table)}
-        return self._coc_rows
 
     def fixed_subspace_dim(self) -> int:
         stack = np.vstack([(A - np.eye(self.dim, dtype=np.int64)) % self.ell
@@ -254,9 +298,9 @@ def _relations(sd: SchreierData, ell: int):
     """
     n, ncols = sd.group.order, sd.num_schreier
     right = [np.array(t) for t in sd.right]
-    # label[u, g]: the column of the edge (u, g), or the spare slot ncols
-    label = np.full((n, 2), ncols)
-    label[tuple(np.array(sd.columns).reshape(-1, 2).T)] = np.arange(ncols)
+    # label[u, g]: the column of the edge (u, g), or the spare slot ncols,
+    # as the moves x and y read it
+    label = sd.edge_column[[0, 2]].T
     owner = np.full(ncols + 1, -1)
     for g, k in ((X, sd.type[0]), (Y, sd.type[1])):
         least, d = _cycles(right[g], k)
@@ -297,9 +341,12 @@ def kernel_mod_ell_homology(sd: SchreierData, ell: int) -> GModule:
     the row of a cycle is its indicator minus the rows of R at its columns
     that `rref_mod` pivots on.
     """
+    ncols = sd.num_schreier
+    if ncols * (ell - 1) ** 2 >= 2 ** 53:  # ncols bounds dim
+        raise ValueError(f"ell = {ell} too large: {ncols} Schreier generators "
+                         f"× (ell − 1)² ≥ 2^53, beyond exact float64 products")
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    ncols = sd.num_schreier
     owner, rows = _relations(sd, ell)
     R, pivots_xy = rref_mod(rows, ell, ncols)
     pivots = np.union1d(owner[owner >= 0], pivots_xy).astype(int)
@@ -317,23 +364,31 @@ def kernel_mod_ell_homology(sd: SchreierData, ell: int) -> GModule:
     block %= ell
     mod = GModule(ell, len(free), [], sd, [sd.columns[c] for c in free],
                   _block=block, _pivots=pivots, _free=free)
-    for g_img in sd.gen_images:
-        conj = sd.tree_word[g_img]
-        cols = []
-        for c in free:
-            vec, end = sd.rewrite(conj + sd.schreier_word(c) + _word_inverse(conj))
-            if end != 0:
-                raise RuntimeError("conjugated Schreier generator did not close")
-            cols.append(mod.project(vec))
-        mod.action.append(np.array(cols, dtype=np.int64).T % ell)
+    # s sigma(u) g sigma(ug)^-1 s^-1 for each image s and free column (u, g)
+    u, g = np.array(sd.columns)[free].T
+    schreier = np.hstack([sd.letters[u], 2 * g[:, None],
+                          _inverse_words(sd.letters[sd.next_coset[2 * g, u]])])
+    conj = sd.letters[np.repeat(sd.gen_images, len(free))]
+    words = np.hstack([conj, np.tile(schreier, (2, 1)), _inverse_words(conj)])
+    images, ends = sd.rewrite_words(words, mod.column_coords())
+    if ends.any():
+        raise RuntimeError("conjugated Schreier generator did not close")
+    mod.action.extend(images.reshape(2, len(free), mod.dim).transpose(0, 2, 1) % ell)
     _check_relations(mod)
     return mod
 
 
 def _check_relations(mod: GModule) -> None:
+    """The action matrices satisfy the relators.  The products run in
+    float64 (BLAS), exact because dim (ell - 1)^2 < 2^53; the remainders
+    run on int64, where numpy's % is several times faster than on floats."""
     p, q, r = mod.schreier.type
-    Ax, Ay = mod.action
-    eye = np.eye(mod.dim, dtype=np.int64)
+    ell = mod.ell
+    Ax, Ay = (A.astype(np.float64) for A in mod.action)
+    eye = np.eye(mod.dim)
+
+    def mulmod(A, B):
+        return ((A @ B).astype(np.int64) % ell).astype(np.float64)
 
     def matpow(A, k):
         """A^k mod ell by square-and-multiply from A: 1, 2 and 4 products
@@ -341,38 +396,27 @@ def _check_relations(mod: GModule) -> None:
         out = None
         while k:
             if k & 1:
-                out = A if out is None else (out @ A) % mod.ell
+                out = A if out is None else mulmod(out, A)
             k >>= 1
             if k:
-                A = (A @ A) % mod.ell
+                A = mulmod(A, A)
         return out
     if (matpow(Ax, p) != eye).any() or (matpow(Ay, q) != eye).any():
         raise RuntimeError("action matrices violate the generator relations")
-    if (matpow((Ax @ Ay) % mod.ell, r) != eye).any():
+    if (matpow(mulmod(Ax, Ay), r) != eye).any():
         raise RuntimeError("action matrices violate the product relation")
 
 
 def _propagate_actions(mod: GModule):
-    """Matrices for every element of G, by BFS over right multiplication."""
-    sd = mod.schreier
-    G = sd.group
-    ell = mod.ell
-    eye = np.eye(mod.dim, dtype=np.int64)
-    inv = [np.array(_matinv(A, ell), dtype=np.int64) for A in mod.action]
-    rho = [None] * G.order
-    rho[0] = eye
-    queue = [0]
-    qpos = 0
-    while qpos < len(queue):
-        u = queue[qpos]
-        qpos += 1
-        for g in (X, Y):
-            for table, mat in (((sd.right[g]), mod.action[g]),
-                               ((sd.right_inv[g]), inv[g])):
-                v = table[u]
-                if rho[v] is None:
-                    rho[v] = (rho[u] @ mat) % ell
-                    queue.append(v)
+    """Matrices for every element of G, one Schreier-tree level at a time:
+    rho(v) = rho(u) A_m for the tree edge u -> v of move m."""
+    sd, ell = mod.schreier, mod.ell
+    Ax, Ay = mod.action
+    moves = np.array([Ax, _matinv(Ax, ell), Ay, _matinv(Ay, ell)])
+    rho = np.empty((sd.group.order, mod.dim, mod.dim), dtype=np.int64)
+    rho[0] = np.eye(mod.dim, dtype=np.int64)
+    for level, src, move in sd.levels:
+        rho[level] = rho[src] @ moves[move] % ell
     return rho
 
 
@@ -592,7 +636,9 @@ class TwistedProduct:
     from_digits(v) * n + g, from tables whose vectors of M/U are digit rows.
 
     Vector addition runs on digit rows: a table of sums of codes would hold
-    ell^(2 qdim) entries, more than |E| whenever |M/U| > |G|.
+    ell^(2 qdim) entries, more than |E| whenever |M/U| > |G|.  The cocycle
+    table is the transposed view that `_cocycle_table` returns, in a small
+    unsigned dtype.
     """
     n: int              # |G|
     ell: int
@@ -609,18 +655,6 @@ class TwistedProduct:
         return vec @ self.powers * self.n + self.gmul[g, h]
 
 
-def _closed_word_coords(mod: GModule, words):
-    """Coordinates in M of the images of words closed at the identity coset."""
-    sd = mod.schreier
-    vecs = []
-    for word in words:
-        vec, end = sd.rewrite(word)
-        if end != 0:
-            raise CocycleError("cocycle word did not close")
-        vecs.append(vec)
-    return mod.project(np.reshape(vecs, (len(vecs), sd.num_schreier)))
-
-
 def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> ExtensionGroup:
     """Quotient of the triangle group by the preimage of the invariant U.
 
@@ -631,11 +665,13 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     generators; its elements come in the BFS order of the left-regular
     action on the pairs.  |E| = |G| * ell^qdim is checked against the cap
     before any table is built.  The tables are rho(g) on M/U
-    (|G| x ell^qdim vectors), the cocycle (|G|^2 vectors, filled by
-    `_cocycle_table` from the generator rows that `GModule.cocycle_rows`
-    rewrites once per module, and checked against direct rewriting and the
-    cocycle identity on sampled triples),
-    the digits of each code and G's multiplication table (|G|^2).
+    (|G| x ell^qdim vectors, from the matrices `_propagate_actions` fills
+    along the Schreier tree), the cocycle (|G|^2 vectors, filled one tree
+    level at a time by `_cocycle_table` from the coordinates of the Schreier
+    columns in M/U, and checked against the rewriting of the full words and
+    the cocycle identity on sampled triples), the digits of each code and
+    G's multiplication table (|G|^2).  The sampled words and the lifts go
+    through one `SchreierData.rewrite_words` call each.
     """
     sd = mod.schreier
     G = sd.group
@@ -653,62 +689,63 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     def modulo_U(vecs):
         return _quotient_coords(vecs, blockU, pivotsU, freeU, ell)
 
+    coords = modulo_U(mod.column_coords())  # each Schreier column in M/U
+    letters = sd.letters
+
     def word_vectors(words):
         """Vectors in M/U of the images of words closed at the identity coset."""
-        return modulo_U(_closed_word_coords(mod, words))
-
-    tree = sd.tree_word
+        images, ends = sd.rewrite_words(words, coords)
+        if ends.any():
+            raise CocycleError("cocycle word did not close")
+        return images % ell
 
     def direct(I, J):
-        """c(g, h) for g, h in zip(I, J), each by rewriting its word."""
-        gh = G.products(I, J).tolist()
-        return word_vectors([tree[g] + tree[h] + _word_inverse(tree[k])
-                             for g, h, k in zip(I, J, gh)])
+        """c(g, h) for g, h in zip(I, J), each by rewriting its full word."""
+        K = G.products(I, J)
+        return word_vectors(np.hstack([letters[I], letters[J],
+                                       _inverse_words(letters[K])]))
 
     powers = ell ** np.arange(qdim, dtype=np.int64)
     digits = np.arange(size)[:, None] // powers % ell  # v of each code
     # rho(g)^T on M/U, stacked over g: a row vector times it is rho(g) v
-    rho_t = modulo_U(np.stack([mod.action_of(g)[:, freeU].T for g in range(n)]))
+    rho_t = modulo_U(mod.action_of(slice(None))[:, :, freeU].transpose(0, 2, 1))
     everything = np.arange(n)
     gmul = G.product_table(everything, everything)
     gens = sd.gen_images
-    coc = _cocycle_table(gmul, rho_t, ell,
-                         {s: modulo_U(row) for s, row in mod.cocycle_rows().items()})
+    coc = _cocycle_table(sd, np.ascontiguousarray(gmul.T), coords, ell)
     prod = TwistedProduct(n, ell, powers, digits, digits @ rho_t % ell, coc, gmul)
     _verify_cocycle(prod, direct)
     # x lifts to (the value of x sigma(gx)^-1, gx), and y likewise
-    lifts = word_vectors([[(letter, 1)] + _word_inverse(tree[g])
-                          for letter, g in zip((X, Y), gens)]) @ powers * n + gens
+    words = np.hstack([[[2 * X], [2 * Y]], _inverse_words(letters[list(gens)])])
+    lifts = word_vectors(words) @ powers * n + gens
     E = group_from_rule(prod, lifts, n * size, cap=cap, name=label)
     if E.order != n * size:
         raise CocycleError(f"extension order {E.order} != expected {n * size}")
     return ExtensionGroup(E, G, qdim, ell, _has_complement(prod, gens))
 
 
-def _cocycle_table(gmul, rho_t, ell, rows):
-    """c(g, h) in M/U for all g, h, from the rows c(s, .) of the generators.
+def _cocycle_table(sd: SchreierData, left, coords, ell):
+    """c(g, h) in M/U for all g, h, read off the Schreier tree.
 
-    The identity's row is 0.  A BFS over right multiplication by the
-    generators fills the row of gs from those of g and s by the cocycle
-    identity at (g, s, h): c(gs, h) = rho(g) c(s, h) + c(g, sh) - c(g, s).
-    rho_t[g] is rho(g)^T, so c(s, h) @ rho_t[g] is rho(g) c(s, h).
+    sigma(g) and sigma(gh)^-1 walk only tree edges, which read no column,
+    so c(g, h) is the image of sigma(h) traced from coset g.  For a tree
+    edge u -> v of move m, sigma(v) = sigma(u) m, so c(., v) = c(., u) plus
+    the value of m read at coset g u: its column's coordinates in M/U
+    (`coords`, a zero row for tree edges), with the letter's sign.
+    left[u, g] is the index of g u.  The table t[h, g] = c(g, h) is filled
+    one tree level at a time, in the smallest unsigned dtype that holds a
+    sum of two entries, and returned as its transpose, a view.
     """
-    n = len(gmul)
-    table = np.zeros((n, n, rho_t.shape[1]), dtype=np.int64)
-    for s, row in rows.items():
-        table[s] = row
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    queue = [0]
-    for g in queue:
-        for s in rows:
-            gs = gmul[g, s]
-            if not seen[gs]:
-                seen[gs] = True
-                table[gs] = (table[s] @ rho_t[g] + table[g, gmul[s]]
-                             - table[g, s]) % ell
-                queue.append(gs)
-    return table
+    n, q = left.shape[0], coords.shape[1]
+    dtype = np.min_scalar_type(2 * (ell - 1))
+    # the value of move m read at coset w, in row m * n + w
+    read = SIGN[:4, None, None] * coords[sd.edge_column[:4]] % ell
+    read = read.astype(dtype).reshape(4 * n, q)
+    table = np.zeros((n, n, q), dtype=dtype)
+    for level, src, move in sd.levels:
+        at = move[:, None] * n + np.take(left, src, axis=0)
+        table[level] = (np.take(table, src, axis=0) + np.take(read, at, axis=0)) % ell
+    return table.transpose(1, 0, 2)
 
 
 def _cocycle_samples(n, samples=40):
@@ -721,16 +758,18 @@ def _verify_cocycle(prod: TwistedProduct, direct):
     """Spot-check the cocycle table on deterministic triples (g, h, k).
 
     Its entries at (g, h), (gh, k), (h, k) and (g, hk) must equal direct
-    rewriting, direct(I, J), and satisfy c(g,h) + c(gh,k) = g*c(h,k) + c(g,hk).
+    rewriting, one direct(I, J) call for all four, and satisfy
+    c(g,h) + c(gh,k) = g*c(h,k) + c(g,hk).
     """
     g, h, k = np.array(_cocycle_samples(prod.n)).T
     gh, hk = prod.gmul[g, h], prod.gmul[h, k]
-    table = prod.coc
-    for I, J in ((g, h), (gh, k), (h, k), (g, hk)):
-        if (table[I, J] != direct(I, J)).any():
-            raise CocycleError("cocycle table disagrees with direct rewriting")
-    lhs = table[g, h] + table[gh, k]
-    rhs = prod.act[g, table[h, k] @ prod.powers] + table[g, hk]
+    I, J = np.concatenate([g, gh, h, g]), np.concatenate([h, k, k, hk])
+    entries = prod.coc[I, J].astype(np.int64)
+    if (entries != direct(I, J)).any():
+        raise CocycleError("cocycle table disagrees with direct rewriting")
+    c_gh, c_gh_k, c_hk, c_g_hk = np.split(entries, 4)
+    lhs = c_gh + c_gh_k
+    rhs = prod.act[g, c_hk @ prod.powers] + c_g_hk
     if ((lhs - rhs) % prod.ell).any():
         raise CocycleError("2-cocycle identity violated")
 
@@ -742,31 +781,41 @@ def _has_complement(prod: TwistedProduct, gens) -> bool:
     right multiplication, f(1) = 0 and f(us) = f(u) + rho(u) v_s + c(u, s),
     the M/U part of (f(u), u)(v_s, s), so f(u) = A_u z + b_u is affine in
     z = (v_s)_s.  The lifts extend to a homomorphism G -> E, necessarily a
-    section of the projection, iff every other edge (u, s) of the Cayley
-    graph agrees with f too: a linear system in z over F_ell, solvable iff
-    the RREF of its rows [A | b] has no pivot in the last column.
+    section of the projection, iff every edge (u, s) of the Cayley graph
+    agrees with f: a linear system in z over F_ell, solvable iff the RREF
+    of its rows [A | b] has no pivot in the last column.  The BFS runs one
+    level at a time, keeping the first occurrence of each new element in
+    the order of u and then of s, so the tree is that of the one-at-a-time
+    BFS.  Tree edges give zero rows; all rows go to `rref_mod` reduced mod
+    ell and deduplicated, which changes neither their span nor its pivots.
     """
     n, ell, q = prod.n, prod.ell, len(prod.powers)
+    m, gens = len(gens), list(gens)
+    # step[u, j]: rho(u) v_s + c(u, s) for s = gens[j], in z and the constant
+    step = np.zeros((n, m, q, m * q + 1), dtype=np.int64)
     rho = prod.act[:, prod.powers].transpose(0, 2, 1)  # rho(u), one matrix per u
-    width = len(gens) * q + 1  # z, then the constant term
-    f = np.zeros((n, q, width), dtype=np.int64)
+    for j in range(m):
+        step[:, j, :, j * q:(j + 1) * q] = rho
+    step[..., -1] = prod.coc[:, gens]
+    reach = prod.gmul[:, gens]
+    f = np.zeros((n, q, m * q + 1), dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    queue, rows = [0], []
-    for u in queue:
-        for j, s in enumerate(gens):
-            image = f[u].copy()
-            image[:, j * q:(j + 1) * q] += rho[u]
-            image[:, -1] += prod.coc[u, s]
-            us = prod.gmul[u, s]
-            if seen[us]:
-                rows.append(image - f[us])
-            else:
-                seen[us] = True
-                f[us] = image % ell
-                queue.append(us)
-    _, pivots = rref_mod(np.concatenate(rows), ell)
-    return width - 1 not in pivots
+    level = np.zeros(1, dtype=np.intp)
+    while len(level):
+        edges = reach[level].ravel()
+        fresh = np.flatnonzero(~seen[edges])
+        _, first = np.unique(edges[fresh], return_index=True)
+        tree = fresh[np.sort(first)]
+        src, j = level[tree // m], tree % m
+        level = edges[tree]
+        seen[level] = True
+        f[level] = (f[src] + step[src, j]) % ell
+    rows = ((f[:, None] + step - f[reach]) % ell).reshape(-1, m * q + 1)
+    # distinct rows, compared as bytes
+    rows = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))
+    _, pivots = rref_mod(rows.view(np.int64).reshape(-1, m * q + 1), ell)
+    return m * q not in pivots
 
 
 # -- the genus-17 pipeline ----------------------------------------------------

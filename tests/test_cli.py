@@ -55,6 +55,10 @@ def test_usage_errors_exit_one(capsys):
     ["homology", "--group", "psl2:7", "--ell", "6"],
     ["homology", "--group", "psl2:7", "--ell", "2", "--invariant-dim", "9"],
     ["homology", "--group", "psl2:7", "--ell", "2", "--extensions"],
+    # primes with 169 Schreier generators × (ell − 1)² ≥ 2^53: the action
+    # products would not be exact in float64 (nor the first in int64)
+    ["homology", "--group", "psl2:7", "--ell", "4294967311"],
+    ["homology", "--group", "psl2:7", "--ell", "7300487"],
     ["origami", "--genus", "1"],
     ["character", "--group", "alt:5", "--type", "2,3,5"],
     ["census", "--max-genus", "-5"],
@@ -67,6 +71,12 @@ def test_bad_values_exit_one(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ")
+
+
+def test_homology_just_under_the_float_bound(capsys):
+    # 7300481 is the largest prime with 169 × (ell − 1)² < 2^53
+    code, out = run_main(["homology", "--group", "psl2:7", "--ell", "7300481"], capsys)
+    assert code == 0 and json.loads(out)["dim"] == 6
 
 
 @pytest.mark.parametrize("args,unchecked,counts", [
@@ -95,6 +105,7 @@ def test_extension_cap_checked_before_any_table(capsys, monkeypatch):
         raise AssertionError("extension table built")
 
     monkeypatch.setattr(homology, "_cocycle_table", refuse)
+    monkeypatch.setattr(homology, "_propagate_actions", refuse)  # rho of every g
     monkeypatch.setattr(homology, "group_from_rule", refuse)
     code = cli.main(["homology", "--group", "psl2:7", "--ell", "2",
                      "--invariant-dim", "0", "--extensions", "--cap", "5000"])
@@ -158,21 +169,27 @@ def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
 
 
 def test_genus17_census_rewrites_generator_rows_once(capsys, monkeypatch):
-    # the two order-1344 quotients share one module, so the 2 x 168 words of
-    # its generator cocycle rows are rewritten for the first quotient only;
-    # the relations are read off the cycles, so the rest are the 2 x 6
-    # conjugated generators of the action and, per quotient, 4 x 40 sampled
-    # cocycle words and the 2 generator lifts: 336 + 12 + 2 x 162 = 672
-    calls = []
+    # the cocycle table is read off the Schreier tree, so no generator row
+    # c(s, .) is rewritten, and the scalar rewriter is the tests' oracle
+    # only; the batch rewriter traces the 2 x 6 conjugated generators of the
+    # action once for the module and, per quotient, the 4 x 40 sampled
+    # cocycle words and the 2 generator lifts: 12 + 2 x (160 + 2) = 336
+    words, scalar = [], []
+    rewrite_words = homology.SchreierData.rewrite_words
     rewrite = homology.SchreierData.rewrite
 
+    def counting_words(self, batch, weights):
+        words.append(len(batch))
+        return rewrite_words(self, batch, weights)
+
     def counting(self, *args, **kwargs):
-        calls.append(1)
+        scalar.append(1)
         return rewrite(self, *args, **kwargs)
 
+    monkeypatch.setattr(homology.SchreierData, "rewrite_words", counting_words)
     monkeypatch.setattr(homology.SchreierData, "rewrite", counting)
     code, _ = run_main(["census", "--max-genus", "17"], capsys)
-    assert code == 0 and len(calls) == 672
+    assert code == 0 and sum(words) == 336 and not scalar
 
 
 def test_submodule_lattice_infeasible_exit_two(capsys):

@@ -769,9 +769,23 @@ def _twisted_product(mod, U, monkeypatch):
     return rules[0]
 
 
-def test_cocycle_table_matches_rewriting_on_every_pair(klein, monkeypatch):
-    _, _, mod = klein
-    U = invariant_submodules(mod, 3)[0]
+def _klein_mod_seven():
+    """PSL(2,7) mod 7 and its invariant 3-dim submodule."""
+    mod = kernel_mod_ell_homology(_klein_schreier()[1], 7)
+    return mod, invariant_submodules(mod, 3)[0]
+
+
+# at ell = 2 a wrong sign on inverse letters cannot show (-1 = 1 mod 2)
+COCYCLE_CASES = {
+    "2^3.PSL(2,7)#1": lambda mod: (mod, invariant_submodules(mod, 3)[0]),
+    "C3 mod 3, U = 0": lambda mod: (_c3_mod_three(), np.zeros((0, 2), dtype=np.int64)),
+    "PSL(2,7) mod 7, dim U = 3": lambda mod: _klein_mod_seven(),
+}
+
+
+@pytest.mark.parametrize("case", COCYCLE_CASES.values(), ids=COCYCLE_CASES.keys())
+def test_cocycle_table_matches_rewriting_on_every_pair(klein, case, monkeypatch):
+    mod, U = case(klein[2])
     table = _twisted_product(mod, U, monkeypatch).coc
     coc = _scalar_cocycle(mod, U)
     n = mod.schreier.group.order
@@ -797,6 +811,46 @@ def test_verify_cocycle_catches_one_corrupted_entry(klein, monkeypatch):
     # rewriting that agrees with the bad entry leaves the identity to catch it
     with pytest.raises(CocycleError, match="identity violated"):
         homology._verify_cocycle(bad_prod, lambda I, J: bad[I, J])
+
+
+def _presentation_lifts(ext, gx, gy):
+    """Oracle for the splitting test: the lift pairs (a, b) of (gx, gy) with
+    a^2 = b^3 = (ab)^7 = [a, b]^4 = 1, the relators of PSL(2,7) on a
+    (2,3,7) generating pair.  Such a pair generates a complement, and a
+    section maps (gx, gy) to one."""
+    E = ext.group
+    project = np.array(E.keys) % ext.base.order
+    a, b = np.meshgrid(np.flatnonzero(project == gx), np.flatnonzero(project == gy))
+    a, b = a.ravel(), b.ravel()
+
+    def power(u, k):
+        out = u
+        for _ in range(k - 1):
+            out = E.products(out, u)
+        return out
+
+    ab = E.products(a, b)
+    bb = E.products(b, b)
+    # [a, b] = a^-1 b^-1 a b = a b^2 a b where a^2 = b^3 = 1
+    comm = E.products(E.products(E.products(a, bb), a), b)
+    ok = ((power(a, 2) == 0) & (power(b, 3) == 0) & (power(ab, 7) == 0)
+          & (power(comm, 4) == 0))
+    return int(ok.sum())
+
+
+@pytest.mark.parametrize("ell,dim_U,order,pairs", [
+    (7, 3, 57624, 343),
+    (2, 3, 1344, 0),  # both Klein quotients
+    (2, 0, 10752, 0),
+], ids=["7^3:PSL(2,7)", "2^3.PSL(2,7)", "2^6.PSL(2,7)"])
+def test_split_flag_matches_presentation_oracle(ell, dim_U, order, pairs):
+    G, sd = _klein_schreier()
+    mod = kernel_mod_ell_homology(sd, ell)
+    for U in invariant_submodules(mod, dim_U):
+        ext = extension_quotient(mod, U, cap=10 ** 5)
+        assert ext.group.order == order
+        assert _presentation_lifts(ext, *sd.gen_images) == pairs
+        assert ext.split is (pairs > 0)
 
 
 def test_order_10752_extension(klein):
