@@ -9,13 +9,12 @@ kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .group import (CapExceededError, FinGroup, classify_pairs, generates,
-                    kernel_key)
+from .group import CapExceededError, FinGroup, classify_pairs, generates
 from .perms import pmul
 
 
@@ -40,6 +39,7 @@ class DessinClass:
     genus: int
     passport: tuple
     class_size: int
+    key: tuple = field(default=None, compare=False, repr=False)  # its kernel key
 
 
 def genus_of(order: int, type_) -> int:
@@ -85,8 +85,9 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
     order (results weighted by class size) and y over all matching elements,
     keeps the candidates with order(xy) matching r, and classifies them by
     the canonical Cayley key `kernel_key(G, (x, y))`.  Each class keeps its
-    first candidate in scan order.  Its `batch` is the table of products xy
-    of a chunk of representatives xs with every y, one `products` call.
+    first candidate in scan order, and carries its key.  Its `batch` is the
+    table of products xy of a chunk of representatives xs with every y, one
+    `products` call.
     """
     p, q, r = type_
     orders = np.array(G.element_orders())
@@ -96,9 +97,10 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
                            lambda xs: G.product_table(xs, ys),
                            _order_matches(orders, r, mode))
     out = []
-    for (x, y, xy), weight in found:
+    for key, ((x, y, xy), weight) in found.items():
         t = TriangleTriple(G, x, y, inv_idx[xy], tuple(type_))
-        out.append(DessinClass(t, genus_of(G.order, t.orders()), passport(t), weight))
+        out.append(DessinClass(t, genus_of(G.order, t.orders()), passport(t), weight,
+                               key))
     out.sort(key=lambda c: (c.passport, c.representative.x, c.representative.y))
     return out
 
@@ -155,8 +157,7 @@ def hurwitz_census(catalog, g_max: int, type_=(2, 3, 7)):
         kept = {}  # kernel key -> (group, DessinClass)
         for G in candidates:
             for cls in enumerate_triples(G, type_):
-                rep = cls.representative
-                kept.setdefault(kernel_key(G, (rep.x, rep.y)), (G, cls))
+                kept.setdefault(cls.key, (G, cls))
         rows.append({
             "genus": g,
             "order": order,

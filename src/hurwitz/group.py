@@ -477,7 +477,7 @@ def commutator_subgroup(G: FinGroup):
     return normal_closure(G, sorted(set(seeds.tolist())))
 
 
-def cayley_labels(tables):
+def cayley_labels(tables, queue=None):
     """Canonical labels of a Cayley graph, yielded lazily.
 
     `tables` are the right-multiplication tables of the generators, as
@@ -487,11 +487,13 @@ def cayley_labels(tables):
     it yields the number of u*s.  The sequence describes the right-regular
     action of <gens> up to relabelling, so two generator tuples give equal
     sequences exactly when gens1 -> gens2 extends to an isomorphism
-    <gens1> -> <gens2>.
+    <gens1> -> <gens2>; that isomorphism maps the k-th element discovered
+    to the k-th.  An empty list `queue` receives the discovery order.
     """
     number = [-1] * len(tables[0])
     number[0] = 0
-    queue = [0]
+    queue = [] if queue is None else queue
+    queue.append(0)
     for u in queue:
         for table in tables:
             v = table[u]
@@ -521,49 +523,87 @@ def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
     index array ys.  batch(xs) is the (len(xs), len(ys)) array of the
     products w of the representatives xs with every y, and the pairs with
     w_ok[w] are the candidates of x.  x_ok and w_ok are boolean arrays over
-    the elements; they and the set ys must be class functions, and w
-    C_G(x)-equivariant (y^c gets w^c), so the candidates of x are a union of
+    the elements; they and the set ys must be class functions, and w a word
+    in x and y (xy, or [x, y]), so the candidates of x are a union of
     C_G(x)-orbits under conjugation (a ValueError says when they are not).
     Conjugation by C_G(x) fixes x, so only the first candidate of each orbit
     is keyed, as by `kernel_key(G, (x, y))`, which is None for
     non-generating pairs and equal exactly for pairs related by an
     automorphism, and it adds len(cls) * |orbit| to its key's weight.
-    Returns [(x, y, w), weight] per key, each with its first candidate in
-    scan order, which is the first of that candidate's orbit.
+    Returns {key: [(x, y, w), weight]}, each class with its first candidate
+    in scan order, which is the first of that candidate's orbit.
+
+    A representative's first candidate y0 starts its first orbit and is
+    keyed before the orbits.  When that key was first found at an earlier
+    representative x0, by the pair R, the isomorphism psi of the two
+    `cayley_labels` BFS orders (psi(R) = (x, y0)) is an automorphism of G.
+    If psi maps x_ok, ys and w_ok onto themselves, it maps the candidates
+    of x0 onto those of x, keys and class sizes kept, since w is a word:
+    x then adds the weights x0 added, and its orbits are not computed.
 
     No `products` batch holds more than max(BATCH, |G|) entries: per chunk
-    of BATCH // |G| representatives, one `batch` call and one pair of batches
-    for their right-multiplication tables and centralizers (u*x == x*u); the
-    orbits' first candidates take their tables in chunks of as many rows.
+    of BATCH // |G| representatives, one `batch` call and three batches for
+    their and their y0's tables and their centralizers (u*x == x*u); the
+    other orbits' first candidates take their tables in chunks of as many rows.
     """
     n = G.order
     rows = np.arange(n)
     inverses = np.array(G.inverse_indices())
+    masks = [np.asarray(x_ok), np.bincount(ys, minlength=n) > 0, np.asarray(w_ok)]
     reps = [(cls[0], len(cls)) for cls in G.conjugacy_classes() if x_ok[cls[0]]]
     per_chunk = max(1, BATCH // n)
-    found = {}  # kernel key -> [(x, y, w), weight]
+    found = {}   # kernel key -> [(x, y, w), weight]
+    origin = {}  # kernel key -> x and BFS order of its class's first pair
+    added = {}   # representative -> [(its class's entry in found, weight)] per orbit
+
+    def keyed(right_x, right_y):
+        queue = []
+        key = tuple(cayley_labels([right_x, right_y], queue))
+        return (key, queue) if len(key) == 2 * n else (None, None)
+
     for start in range(0, len(reps), per_chunk):
         chunk = reps[start:start + per_chunk]
         xs = np.array([x for x, _ in chunk], dtype=np.intp)
         ws = batch(xs)
         keep = w_ok[ws]
+        live = keep.any(axis=1)
+        if not live.any():
+            continue
         right, left = G.product_table(rows, xs).T, G.product_table(xs, rows)
-        firsts = []  # (x's row, (x, y, w), weight) per orbit, in scan order
+        heads = iter(G.product_table(rows, ys[keep[live].argmax(axis=1)]).T.tolist())
         for i, (x, size) in enumerate(chunk):
-            cent = np.flatnonzero(right[i] == left[i])
+            if not live[i]:
+                continue
             cand, cand_w = ys[keep[i]], ws[i][keep[i]]
-            for j, stab in _orbit_firsts(G, x, cand, cent, inverses[cent]):
-                firsts.append((i, (x, int(cand[j]), int(cand_w[j])),
-                               size * (len(cent) // stab)))
-        right = right.tolist()
-        for at in range(0, len(firsts), per_chunk):
-            part = firsts[at:at + per_chunk]
-            tables = G.product_table(rows, [y for _, (_, y, _), _ in part]).T
-            for (i, pair, weight), right_y in zip(part, tables.tolist()):
-                key = tuple(cayley_labels([right[i], right_y]))
-                if len(key) == 2 * n:
-                    found.setdefault(key, [pair, 0])[1] += weight
-    return list(found.values())
+            right_x = right[i].tolist()
+            head = key, queue = keyed(right_x, next(heads))
+            if key in origin:
+                x0, queue0 = origin[key]
+                psi = np.empty(n, dtype=np.intp)
+                psi[queue0] = queue
+                if all((mask[psi] == mask).all() for mask in masks):
+                    for entry, weight in added[x0]:
+                        entry[1] += weight
+                    continue
+            cent = np.flatnonzero(right[i] == left[i])
+            firsts = _orbit_firsts(G, x, cand, cent, inverses[cent])
+            rest = [j for j, _ in firsts[1:]]
+            tables = chain.from_iterable(
+                G.product_table(rows, cand[rest[at:at + per_chunk]]).T.tolist()
+                for at in range(0, len(rest), per_chunk))
+            gains = added[x] = []
+            for (j, stab), (key, queue) in zip(
+                    firsts, chain([head], (keyed(right_x, t) for t in tables))):
+                if key is None:
+                    continue
+                entry = found.get(key)
+                if entry is None:
+                    entry = found[key] = [(x, int(cand[j]), int(cand_w[j])), 0]
+                    origin[key] = x, queue
+                weight = size * (len(cent) // stab)
+                entry[1] += weight
+                gains.append((entry, weight))
+    return found
 
 
 def _orbit_firsts(G: FinGroup, x, cand, cent, cent_inv):

@@ -267,6 +267,12 @@ class GModule:
             self._rho = _propagate_actions(self)
         return self._rho[g]
 
+    @cached_property
+    def group_table(self):
+        """G's multiplication table (gmul[g, h] is gh), one batch per module."""
+        everything = np.arange(self.schreier.group.order)
+        return self.schreier.group.product_table(everything, everything)
+
     def fixed_subspace_dim(self) -> int:
         stack = np.vstack([(A - np.eye(self.dim, dtype=np.int64)) % self.ell
                            for A in self.action])
@@ -670,7 +676,8 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     level at a time by `_cocycle_table` from the coordinates of the Schreier
     columns in M/U, and checked against the rewriting of the full words and
     the cocycle identity on sampled triples), the digits of each code and
-    G's multiplication table (|G|^2).  The sampled words and the lifts go
+    G's multiplication table (|G|^2, `GModule.group_table`, shared by the
+    module's quotients).  The sampled words and the lifts go
     through one `SchreierData.rewrite_words` call each.
     """
     sd = mod.schreier
@@ -709,8 +716,7 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     digits = np.arange(size)[:, None] // powers % ell  # v of each code
     # rho(g)^T on M/U, stacked over g: a row vector times it is rho(g) v
     rho_t = modulo_U(mod.action_of(slice(None))[:, :, freeU].transpose(0, 2, 1))
-    everything = np.arange(n)
-    gmul = G.product_table(everything, everything)
+    gmul = mod.group_table
     gens = sd.gen_images
     coc = _cocycle_table(sd, np.ascontiguousarray(gmul.T), coords, ell)
     prod = TwistedProduct(n, ell, powers, digits, digits @ rho_t % ell, coc, gmul)

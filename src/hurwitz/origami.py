@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .fields import is_prime
-from .group import FinGroup, classify_pairs
+from .group import FinGroup, classify_pairs, normal_closure
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,10 @@ def enumerate_origami_pairs(G: FinGroup):
     has order 2, and classifies them by the canonical Cayley key
     `kernel_key(G, (a, b))`.  Each class keeps its first candidate in scan
     order.  Its `batch` gives the commutators of a chunk of representatives
-    with every b in three `products` calls.  Every commutator lies in the
-    derived subgroup G', so a group whose G' has no involution, that is
-    (by Cauchy's and Lagrange's theorems) whose |G'| is odd, is not scanned.
+    with every b in three `products` calls.  Only a group that
+    `_may_have_pairs` is scanned.
     """
-    if G.order % 4 != 0 or len(G.commutator_subgroup()) % 2:
+    if not _may_have_pairs(G):
         return []
     orders = np.array(G.element_orders())
     bs = np.arange(G.order)
@@ -74,9 +73,22 @@ def enumerate_origami_pairs(G: FinGroup):
     found = classify_pairs(G, np.ones(G.order, dtype=bool), bs, commutators,
                            orders == 2)
     out = [OrigamiClass(OrigamiPair(G, a, b), g, weight)
-           for (a, b, _), weight in found]
+           for (a, b, _), weight in found.values()]
     out.sort(key=lambda c: (c.representative.a, c.representative.b))
     return out
+
+
+def _may_have_pairs(G: FinGroup) -> bool:
+    """Can a pair with commutator c of order 2 generate G?  Then 4 divides
+    |G| = 4(g - 1), and G' is the normal closure of the involution c (the
+    pair's images in G/<<c>> commute), so |G'| is even and some class of
+    involutions in G' has normal closure G': one `normal_closure` per class."""
+    if G.order % 4 or len(G.commutator_subgroup()) % 2:
+        return False
+    derived = set(G.commutator_subgroup())
+    return any(len(normal_closure(G, [cls[0]])) == len(derived)
+               for cls in G.conjugacy_classes()
+               if cls[0] in derived and G.element_order(cls[0]) == 2)
 
 
 @dataclass(frozen=True)

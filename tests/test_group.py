@@ -513,7 +513,8 @@ def _keyed_candidates(G, x_ok, ys, batch, w_ok):
 
 
 def _classify_pairs_oracle(G, x_ok, ys, batch, w_ok):
-    """Oracle for classify_pairs: one kernel key per candidate, no orbit pruning."""
+    """Oracle for classify_pairs: one kernel key per candidate, no orbit pruning
+    and no representative skipped."""
     found = {}
     for pair, key, size in _keyed_candidates(G, x_ok, ys, batch, w_ok):
         if key is None:
@@ -523,7 +524,7 @@ def _classify_pairs_oracle(G, x_ok, ys, batch, w_ok):
             rec[1] += size
         else:
             found[key] = [pair, size]
-    return list(found.values())
+    return found
 
 
 def _relabelled(G, seed):
@@ -548,6 +549,10 @@ PRUNED_CASES = {
                        (2, 3, 7), "exact"),
     "origami genus 7": (lambda: origami_existence(7).witness.group, None, None),
     "origami genus 13": (lambda: origami_existence(13).witness.group, None, None),
+    # C3xA4, C5xA4 and C32:C2(t=17): large outer automorphism groups, so
+    # most representatives are automorphic images of earlier ones
+    **{f"origami genus {g}": (lambda g=g: origami_existence(g).witness.group, None, None)
+       for g in (10, 16, 17)},
     **{f"relabelled {G.name}": (lambda G=G, i=i: _relabelled(G, i), type_, "exact")
        for i, (G, type_) in enumerate(RELABEL_CASES)},
 }
@@ -563,7 +568,7 @@ def _check_pruned_scan(name, monkeypatch):
 
     def checked(G, *args):
         got = classify_pairs(G, *args)
-        assert got == _classify_pairs_oracle(G, *args)
+        assert list(got.items()) == list(_classify_pairs_oracle(G, *args).items())
         scans.append(got)
         return got
 
@@ -638,6 +643,46 @@ def test_pruned_scan_refuses_candidates_that_are_not_orbit_unions():
                        lambda xs: G.products(np.repeat(xs, len(ys)),
                                              np.tile(ys, len(xs))).reshape(len(xs), -1),
                        np.ones(G.order, dtype=bool))
+
+
+def test_skip_needs_an_automorphism_that_keeps_the_masks():
+    """x of order 7, y in 3A or in the second class of order 7, xy in 3A.
+
+    The masks are class functions, but the outer automorphism of PSL(2,7)
+    swaps the two classes of order 7, so it keeps neither ys nor x's
+    candidates.  The second representative's first candidate has a key the
+    first representative found; copying that representative's weights
+    would double (1, 22, 38) and drop (2, 22, 52).
+    """
+    G = catalog.psl2(7)
+    orders = np.array(G.element_orders())
+    order3, _, second7 = (cls for cls in G.conjugacy_classes()
+                          if orders[cls[0]] in (3, 7))
+    ys = np.array(sorted(order3 + second7))
+    w_ok = np.zeros(G.order, dtype=bool)
+    w_ok[order3] = True
+    args = (orders == 7, ys, lambda xs: G.product_table(xs, ys), w_ok)
+    got = classify_pairs(G, *args)
+    assert list(got.items()) == list(_classify_pairs_oracle(G, *args).items())
+    assert list(got.values()) == [[(1, 18, 34), 336], [(1, 22, 38), 168],
+                                  [(2, 22, 52), 168]]
+
+
+def test_automorphic_representatives_skip_their_orbits(monkeypatch):
+    # C32:C2(t=17) has 40 classes, and a scan without the skip finds the
+    # C_G(x)-orbits of every one of them
+    calls = []
+    orbit_firsts = group._orbit_firsts
+
+    def counted(*args):
+        calls.append(args[1])
+        return orbit_firsts(*args)
+
+    monkeypatch.setattr(group, "_orbit_firsts", counted)
+    G = catalog.metacyclic(32, 17)
+    classes = enumerate_origami_pairs(G)
+    assert len(G.conjugacy_classes()) == 40 and classes
+    assert len(calls) <= 10
 
 
 def _scalar_classes(G):

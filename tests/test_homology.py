@@ -590,6 +590,22 @@ def test_extension_by_full_module_is_base(klein):
     assert E.module_dim == 0
 
 
+def test_klein_quotients_share_one_group_table(monkeypatch):
+    """G's multiplication table depends only on the module, so the two
+    quotients of the Klein job make one |G| x |G| `product_table` batch."""
+    shapes = []
+    product_table = FinGroup.product_table
+
+    def recording(self, A, B):
+        table = product_table(self, A, B)
+        shapes.append((self.order, table.shape))
+        return table
+
+    monkeypatch.setattr(FinGroup, "product_table", recording)
+    assert len(klein_extension_groups()) == 2
+    assert shapes.count((168, (168, 168))) == 1
+
+
 def test_extension_by_full_module_splits(klein):
     """E = G splits: the section x -> ax, y -> ay is an isomorphism onto <ax, ay>."""
     G, sd, mod = klein

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import catalog
+from hurwitz import catalog, origami
 from hurwitz.origami import (enumerate_origami_pairs, origami_existence,
                              origami_genus)
 
@@ -102,7 +102,8 @@ def test_existence_order_mismatch_rejected():
 def test_genus_17_witness_scan_batches_its_products():
     """The classification of the genus-17 witness group takes its products in
     a few batches: 1,320 `products` calls when every C_G(x)-orbit took its
-    own, 55 with the representatives, orbits and tables batched."""
+    own, 55 with the representatives, orbits and tables batched, 22 when the
+    representatives that are automorphic images of earlier ones are skipped."""
     G = origami_existence(17).witness.group
     assert G.name == "C32:C2(t=17)"
     calls = []
@@ -115,6 +116,37 @@ def test_genus_17_witness_scan_batches_its_products():
     G.products = counting
     assert enumerate_origami_pairs(G)
     assert len(calls) < 100
+
+
+def test_derived_subgroup_gate_rejects_only_groups_without_pairs(monkeypatch):
+    """G = <a, b> makes G' the normal closure of the involution [a, b].  The
+    gate may reject a group only when the unpruned scan finds no pair; of
+    the groups `origami --genus 2..18` scans in full for nothing, it rejects
+    all but the three copies of A5."""
+    searched = []  # every group searched at genus 2..25, in search order
+    monkeypatch.setattr(origami, "enumerate_origami_pairs",
+                        lambda G: searched.append(G) or [])
+    for g in range(2, 26):
+        origami_existence(g)
+    monkeypatch.undo()
+    assert len(searched) == 186
+    rejected = {id(G) for G in searched if not origami._may_have_pairs(G)}
+    monkeypatch.setattr(origami, "_may_have_pairs", lambda G: True)
+    assert not any(enumerate_origami_pairs(G) for G in searched if id(G) in rejected)
+
+    groups = iter(searched)
+    fruitless = []  # scanned before the witness, past the parity test of |G'|
+    for g in range(2, 19):
+        v = origami_existence(g)
+        names = list(v.searched_groups)
+        scanned = [next(groups) for _ in names]
+        if v.witness is not None:
+            scanned = scanned[:names.index(v.witness.group.name)]
+        fruitless += [G for G in scanned if len(G.commutator_subgroup()) % 2 == 0]
+    assert sorted(G.name for G in fruitless if id(G) not in rejected) == \
+        ["A5", "PSL(2,4)", "PSL(2,5)"]
+    assert len(fruitless) == 16
+    assert {f"D{n}" for n in range(16, 65, 8)} <= {G.name for G in fruitless}
 
 
 def test_origami_searches_never_import_numpy_ma():
