@@ -85,9 +85,8 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
     order (results weighted by class size) and y over all matching elements,
     keeps the candidates with order(xy) matching r, and classifies them by
     the canonical Cayley key `kernel_key(G, (x, y))`.  Each class keeps its
-    first candidate in scan order, and carries its key.  Its `batch` is the
-    table of products xy of a chunk of representatives xs with every y, one
-    `products` call.
+    first candidate in scan order.  Its `batch` is the table of products xy
+    of a chunk of representatives xs with every y, one `products` call.
     """
     p, q, r = type_
     orders = np.array(G.element_orders())

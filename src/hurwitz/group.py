@@ -488,12 +488,11 @@ def cayley_labels(tables, queue=None):
     action of <gens> up to relabelling, so two generator tuples give equal
     sequences exactly when gens1 -> gens2 extends to an isomorphism
     <gens1> -> <gens2>; that isomorphism maps the k-th element discovered
-    to the k-th.  An empty list `queue` receives the discovery order.
+    to the k-th.  A list `queue` = [0] receives the discovery order.
     """
     number = [-1] * len(tables[0])
     number[0] = 0
-    queue = [] if queue is None else queue
-    queue.append(0)
+    queue = [0] if queue is None else queue
     for u in queue:
         for table in tables:
             v = table[u]
@@ -533,13 +532,12 @@ def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
     Returns {key: [(x, y, w), weight]}, each class with its first candidate
     in scan order, which is the first of that candidate's orbit.
 
-    A representative's first candidate y0 starts its first orbit and is
-    keyed before the orbits.  When that key was first found at an earlier
-    representative x0, by the pair R, the isomorphism psi of the two
-    `cayley_labels` BFS orders (psi(R) = (x, y0)) is an automorphism of G.
-    If psi maps x_ok, ys and w_ok onto themselves, it maps the candidates
-    of x0 onto those of x, keys and class sizes kept, since w is a word:
-    x then adds the weights x0 added, and its orbits are not computed.
+    A representative's first candidate y0 starts its first orbit and is keyed
+    first.  If its key's class was first found at an earlier representative
+    x0, by the pair R, the map psi of the two `cayley_labels` BFS orders
+    (psi(R) = (x, y0)) is an automorphism; if it keeps x_ok, ys and w_ok, it
+    maps x0's candidates onto x's, keys and class sizes kept (w is a word),
+    and x adds the weights x0 added without computing its orbits.
 
     No `products` batch holds more than max(BATCH, |G|) entries: per chunk
     of BATCH // |G| representatives, one `batch` call and three batches for
@@ -557,8 +555,7 @@ def classify_pairs(G: FinGroup, x_ok, ys, batch, w_ok):
     added = {}   # representative -> [(its class's entry in found, weight)] per orbit
 
     def keyed(right_x, right_y):
-        queue = []
-        key = tuple(cayley_labels([right_x, right_y], queue))
+        key = tuple(cayley_labels([right_x, right_y], queue := [0]))
         return (key, queue) if len(key) == 2 * n else (None, None)
 
     for start in range(0, len(reps), per_chunk):
