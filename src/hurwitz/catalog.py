@@ -505,14 +505,13 @@ class Catalog:
         return names
 
 
-def census_catalog(g_max: int, type_=(2, 3, 7), cap=DEFAULT_CAP,
-                   data_pack=None) -> Catalog:
+def census_catalog(type_=(2, 3, 7), cap=DEFAULT_CAP, data_pack=None) -> Catalog:
     """Default census catalog, with any data-pack groups as extra candidates.
 
-    For type (2, 3, 7) the homology-built group of order 1344 (genus 17)
-    joins the candidates the first time that order is asked for, so a cap
-    below 1344 surfaces as a `CapExceededError` of that order alone.  Since
-    candidates are built per order on demand, g_max bounds nothing.
+    Candidates are built per order on demand.  For type (2, 3, 7) the
+    homology-built group of order 1344 (genus 17) joins the candidates the
+    first time that order is asked for, so a cap below 1344 surfaces as a
+    `CapExceededError` of that order alone.
     """
     cat = Catalog(cap=cap)
     if tuple(type_) == (2, 3, 7):

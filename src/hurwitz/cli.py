@@ -88,8 +88,7 @@ def _base(report: dict) -> dict:
 
 def _cmd_census(args, out) -> int:
     type_ = _parse_type(args.type)
-    cat = catalog.census_catalog(args.max_genus, type_=type_, cap=args.cap,
-                                 data_pack=args.data_pack)
+    cat = catalog.census_catalog(type_=type_, cap=args.cap, data_pack=args.data_pack)
     result = dessins.hurwitz_census(cat, args.max_genus, type_=type_)
     if args.characters:
         for row in result["census"]:

@@ -333,6 +333,19 @@ def _rule_row(rule, ncodes, code):
     return tuple(rule(np.full(ncodes, code), np.arange(ncodes)).tolist())
 
 
+def first_new(reach, found):
+    """Positions in `reach` of the first occurrence of each value not yet
+    `found` (a boolean mask over the values), in scan order: with `reach` the
+    targets of a BFS level's elements, by element and then by map, the next
+    level of the one-at-a-time BFS, in its order."""
+    fresh = np.flatnonzero(~found[reach])
+    new = reach[fresh]
+    by_value = np.argsort(new, kind="stable")
+    first = np.ones(len(new), dtype=bool)
+    first[1:] = new[by_value[1:]] != new[by_value[:-1]]
+    return fresh[np.sort(by_value[first])]
+
+
 def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
     """Enumerate the group generated by codes under a product rule, by BFS closure.
 
@@ -359,13 +372,8 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
     order = 1
     while len(levels[-1]):
         last = levels[-1]
-        new = rule(np.repeat(last, len(gens)), np.tile(gens, len(last)))
-        new = new[~found[new]]
-        # keep the first occurrence of each code, in scan order
-        by_value = np.argsort(new, kind="stable")
-        first = np.ones(len(new), dtype=bool)
-        first[1:] = new[by_value[1:]] != new[by_value[:-1]]
-        level = new[np.sort(by_value[first])]
+        reach = rule(np.repeat(last, len(gens)), np.tile(gens, len(last)))
+        level = reach[first_new(reach, found)]
         order += len(level)
         if order > cap:
             raise _cap_error(name, order, cap, f"ncodes {ncodes}")
@@ -384,28 +392,33 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
 def conjugacy_classes(G: FinGroup):
     """Classes as orbits under conjugation by the generators, canonically sorted.
 
-    The orbits are walked on the group's `conjugation_tables`.
+    The orbits are labelled by `orbit_minima` on the `conjugation_tables`.
     """
-    n = G.order
-    tables = G.conjugation_tables()[0].tolist()
-    assigned = [False] * n
-    classes = []
-    for start in range(n):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        orbit = [start]
-        for i in orbit:
-            for table in tables:
-                c = table[i]
-                if not assigned[c]:
-                    assigned[c] = True
-                    orbit.append(c)
-        classes.append(sorted(orbit))
+    label = orbit_minima(G.conjugation_tables()[0])
+    members = np.argsort(label, kind="stable").tolist()
+    sizes = np.bincount(label)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    classes = [members[start:end] for start, end in zip([0] + ends, ends)]
     orders = G.element_orders()
     classes.sort(key=lambda cls: (orders[cls[0]], len(cls),
                                   min(map(G.element_key, cls))))
     return classes
+
+
+def orbit_minima(tables):
+    """The least point in each point's orbit under the permutations `tables`.
+
+    Pulling the label of each image, label = min(label, label[table]), is
+    exact for permutations: at a fixed point the label is constant along
+    every cycle, and it only ever takes values from the orbit.
+    """
+    label = np.arange(tables.shape[1], dtype=np.int32)
+    while True:
+        before = label
+        for table in tables:
+            label = np.minimum(label, label[table])
+        if (label == before).all():
+            return label
 
 
 def _closure(G: FinGroup, targets):

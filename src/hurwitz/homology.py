@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .group import DEFAULT_CAP, CapExceededError, FinGroup, group_from_rule
+from .group import (DEFAULT_CAP, CapExceededError, FinGroup, first_new,
+                    group_from_rule, orbit_minima)
 from .fields import Fq, is_prime, to_digits
 
 # letters: (generator id 0 for x / 1 for y, exponent sign)
@@ -33,6 +34,7 @@ MOVES = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
 PAD = 4
 SIGN = np.array([1, -1, 1, -1, 0])
 INVERSE = np.array([1, 0, 3, 2, PAD], dtype=np.int8)
+COCYCLE_SAMPLES = 40  # triples (g, h, k) on which `_verify_cocycle` checks the table
 
 
 def _word_inverse(word):
@@ -50,24 +52,21 @@ class SchreierData:
 
     Cosets are identified with elements of G (regular action); the tree is
     BFS with move order (x, x^-1, y, y^-1).  Column j of the relation space
-    corresponds to the j-th nontrivial Schreier generator (u, s): the word
-    sigma(u) * s * sigma(u*s)^-1.
+    corresponds to the j-th nontrivial Schreier generator (u, g), the edge
+    edges[j] = 2 u + g: the word sigma(u) * g * sigma(u*g)^-1.
     """
     group: FinGroup
     type: tuple
     gen_images: tuple       # (index of phi(x), index of phi(y)) in G
-    right: list             # right[g][coset] for g in (x, y)
-    right_inv: list
-    column: dict            # (coset, gen id) -> column index, tree edges absent
-    columns: list           # [(coset, gen id)] in column order
     levels: list            # per BFS level: (cosets, parents, moves to them)
     letters: np.ndarray     # letters[coset]: sigma(coset) as moves, PAD-filled
     next_coset: np.ndarray  # next_coset[m, u]: where move m (or PAD) leads from u
     edge_column: np.ndarray  # [m, u]: the column move m reads at u, or num_schreier
+    edges: np.ndarray       # edges[j] = 2 u + g for column j, in increasing order
 
     @property
     def num_schreier(self) -> int:
-        return len(self.columns)
+        return len(self.edges)
 
     @cached_property
     def tree_word(self):
@@ -81,16 +80,11 @@ class SchreierData:
             vec = np.zeros(self.num_schreier, dtype=np.int64)
         u = start
         for g, s in word:
-            if s > 0:
-                col = self.column.get((u, g))
-                if col is not None:
-                    vec[col] += 1
-                u = self.right[g][u]
-            else:
-                u = self.right_inv[g][u]
-                col = self.column.get((u, g))
-                if col is not None:
-                    vec[col] -= 1
+            m = 2 * g + (s < 0)
+            col = int(self.edge_column[m, u])
+            if col < self.num_schreier:
+                vec[col] += s
+            u = int(self.next_coset[m, u])
         return vec, u
 
     def rewrite_words(self, words, weights):
@@ -114,8 +108,8 @@ class SchreierData:
 
     def schreier_word(self, col: int):
         """The (u, s) Schreier generator as a word in x, y."""
-        u, g = self.columns[col]
-        v = self.right[g][u]
+        u, g = divmod(int(self.edges[col]), 2)
+        v = int(self.next_coset[2 * g, u])
         return self.tree_word[u] + [(g, 1)] + _word_inverse(self.tree_word[v])
 
     def relator_words(self):
@@ -131,22 +125,18 @@ def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
     move, reach each new coset first from its parent in the one-at-a-time
     BFS.  The tree spans all |G| cosets exactly when gx, gy generate G.
     """
-    right = [G.right_mult_table(gx), G.right_mult_table(gy)]
-    inv_x, inv_y = G.inv(gx), G.inv(gy)
-    right_inv = [G.right_mult_table(inv_x), G.right_mult_table(inv_y)]
     n = G.order
-    targets = np.array([right[X], right_inv[X], right[Y], right_inv[Y]])
+    targets = np.array([G.right_mult_table(g)
+                        for g in (gx, G.inv(gx), gy, G.inv(gy))])
     found = np.zeros(n, dtype=bool)
     found[0] = True
     tree = np.zeros((n, 2), dtype=bool)  # (coset, gen) edges in the tree
     level, levels = np.zeros(1, dtype=np.intp), []
     while True:
         reach = targets[:, level].T.ravel()
-        fresh = np.flatnonzero(~found[reach])
-        if not len(fresh):
+        step = first_new(reach, found)
+        if not len(step):
             break
-        _, first = np.unique(reach[fresh], return_index=True)
-        step = fresh[np.sort(first)]
         src, move = level[step // 4], step % 4
         level = reach[step]
         found[level] = True
@@ -160,16 +150,14 @@ def schreier_data(type_, G: FinGroup, gx: int, gy: int) -> SchreierData:
         letters[level] = letters[src]
         letters[level, depth] = move
     cols = np.flatnonzero(~tree.ravel())
-    columns = [divmod(f, 2) for f in cols.tolist()]
     label = np.full(2 * n, len(cols))
     label[cols] = np.arange(len(cols))
     label = label.reshape(n, 2)
     # a letter g at u reads (u, g); g^-1 at u reads (u*g^-1, g)
     edge_column = np.vstack([label[:, X], label[targets[1], X], label[:, Y],
                              label[targets[3], Y], np.full(n, len(cols))])
-    return SchreierData(G, tuple(type_), (gx, gy), right, right_inv,
-                        {ug: j for j, ug in enumerate(columns)}, columns, levels,
-                        letters, np.vstack([targets, np.arange(n)]), edge_column)
+    return SchreierData(G, tuple(type_), (gx, gy), levels, letters,
+                        np.vstack([targets, np.arange(n)]), edge_column, cols)
 
 
 # -- linear algebra over F_ell ------------------------------------------------
@@ -240,7 +228,6 @@ class GModule:
     dim: int
     action: list            # matrices (dim x dim) for the images of x, y
     schreier: SchreierData
-    basis_labels: list      # Schreier (coset, gen) labels of the free columns
     _block: np.ndarray = field(repr=False, default=None)
     _pivots: np.ndarray = field(repr=False, default=None)
     _free: np.ndarray = field(repr=False, default=None)
@@ -283,12 +270,9 @@ class GModule:
 def _cycles(perm, exponent):
     """The least coset on each coset's cycle of the permutation perm, whose
     cycles (right multiplication in the regular action) all have one length
-    d; the relator perm^exponent holds there iff d divides the exponent."""
-    least, u = np.arange(len(perm)), perm
-    d = 1
-    while u[0] != 0:
-        least = np.minimum(least, u)
-        u, d = perm[u], d + 1
+    d = n / #cycles; the relator perm^exponent holds iff d divides exponent."""
+    least = orbit_minima(perm[None])
+    d = len(perm) // np.count_nonzero(least == np.arange(len(perm)))
     if exponent % d:
         raise RuntimeError("relator trace did not return to its coset")
     return least, d
@@ -303,7 +287,7 @@ def _relations(sd: SchreierData, ell: int):
     (entry j minus entry m), or none where ell divides r/d.
     """
     n, ncols = sd.group.order, sd.num_schreier
-    right = [np.array(t) for t in sd.right]
+    right = sd.next_coset[[2 * X, 2 * Y]]
     # label[u, g]: the column of the edge (u, g), or the spare slot ncols,
     # as the moves x and y read it
     label = sd.edge_column[[0, 2]].T
@@ -368,10 +352,9 @@ def kernel_mod_ell_homology(sd: SchreierData, ell: int) -> GModule:
     np.subtract.at(block, np.searchsorted(pivots, owner[pivots_xy][hit]),
                    block[xy_rows[hit]])
     block %= ell
-    mod = GModule(ell, len(free), [], sd, [sd.columns[c] for c in free],
-                  _block=block, _pivots=pivots, _free=free)
+    mod = GModule(ell, len(free), [], sd, _block=block, _pivots=pivots, _free=free)
     # s sigma(u) g sigma(ug)^-1 s^-1 for each image s and free column (u, g)
-    u, g = np.array(sd.columns)[free].T
+    u, g = np.divmod(sd.edges[free], 2)
     schreier = np.hstack([sd.letters[u], 2 * g[:, None],
                           _inverse_words(sd.letters[sd.next_coset[2 * g, u]])])
     conj = sd.letters[np.repeat(sd.gen_images, len(free))]
@@ -466,22 +449,6 @@ def _code_tables(mats, ell, n):
     return tables
 
 
-def _orbit_minima(tables):
-    """The least code in each code's orbit under the permutations `tables`.
-
-    Pulling the label of each image, label = min(label, label[table]), is
-    exact for permutations: at a fixed point the label is constant along
-    every cycle, and it only ever takes values from the orbit.
-    """
-    label = np.arange(tables.shape[1], dtype=np.int32)
-    while True:
-        before = label
-        for table in tables:
-            label = np.minimum(label, label[table])
-        if (label == before).all():
-            return label
-
-
 def _spin(vec, actions, ell):
     """RREF basis of the cyclic submodule spin(vec), the least invariant
     subspace holding vec: apply every action to the whole basis until the
@@ -508,7 +475,7 @@ def submodule_lattice(mod: GModule):
     Every submodule is a sum of cyclic ones, and spin(g v) = spin(c v) =
     spin(v) for g in G and scalars c, so one vector per orbit of <G, F_ell^*>
     finds every cyclic submodule.  The orbits come from labelling all ell^dim
-    codes (`_orbit_minima`), hence the limit; the lattice is then the cyclic
+    codes (`orbit_minima`), hence the limit; the lattice is then the cyclic
     submodules closed under sums.
     """
     n, ell = mod.dim, mod.ell
@@ -518,7 +485,7 @@ def submodule_lattice(mod: GModule):
     mats = list(mod.action)
     if root > 1:  # F_2^* is trivial
         mats.append(root * np.eye(n, dtype=np.int64))
-    label = _orbit_minima(_code_tables(mats, ell, n))
+    label = orbit_minima(_code_tables(mats, ell, n))
     reps = np.flatnonzero(label == np.arange(len(label)))[1:]  # code 0 spins to 0
     cyclic = {}
     for code in reps.tolist():
@@ -727,7 +694,7 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     E = group_from_rule(prod, lifts, n * size, cap=cap, name=label)
     if E.order != n * size:
         raise CocycleError(f"extension order {E.order} != expected {n * size}")
-    return ExtensionGroup(E, G, qdim, ell, _has_complement(prod, gens))
+    return ExtensionGroup(E, G, qdim, ell, _has_complement(prod, sd))
 
 
 def _cocycle_table(sd: SchreierData, left, coords, ell):
@@ -754,10 +721,10 @@ def _cocycle_table(sd: SchreierData, left, coords, ell):
     return table.transpose(1, 0, 2)
 
 
-def _cocycle_samples(n, samples=40):
+def _cocycle_samples(n):
     """Deterministic triples (g, h, k) spread over a group of order n."""
     rng = random.Random(n)
-    return [tuple(rng.randrange(n) for _ in range(3)) for _ in range(samples)]
+    return [tuple(rng.randrange(n) for _ in range(3)) for _ in range(COCYCLE_SAMPLES)]
 
 
 def _verify_cocycle(prod: TwistedProduct, direct):
@@ -780,44 +747,33 @@ def _verify_cocycle(prod: TwistedProduct, direct):
         raise CocycleError("2-cocycle identity violated")
 
 
-def _has_complement(prod: TwistedProduct, gens) -> bool:
+def _has_complement(prod: TwistedProduct, sd: SchreierData) -> bool:
     """Is there a homomorphic section G -> E?
 
-    Its values at the generators s are lifts (v_s, s).  Along a BFS over
-    right multiplication, f(1) = 0 and f(us) = f(u) + rho(u) v_s + c(u, s),
+    Its values at the generators s = phi(x), phi(y) are lifts (v_s, s).
+    Along the Schreier tree, f(1) = 0 and f(us) = f(u) + rho(u) v_s + c(u, s),
     the M/U part of (f(u), u)(v_s, s), so f(u) = A_u z + b_u is affine in
-    z = (v_s)_s.  The lifts extend to a homomorphism G -> E, necessarily a
-    section of the projection, iff every edge (u, s) of the Cayley graph
-    agrees with f: a linear system in z over F_ell, solvable iff the RREF
-    of its rows [A | b] has no pivot in the last column.  The BFS runs one
-    level at a time, keeping the first occurrence of each new element in
-    the order of u and then of s, so the tree is that of the one-at-a-time
-    BFS.  Tree edges give zero rows; all rows go to `rref_mod` reduced mod
+    z = (v_s)_s; a tree edge of an inverse move, v = u s^-1, gives
+    f(v) = f(u) - (rho(v) v_s + c(v, s)).  The lifts extend to a
+    homomorphism G -> E, necessarily a section of the projection, iff every
+    edge (u, s) of the Cayley graph agrees with f: a linear system in z over
+    F_ell, solvable iff the RREF of its rows [A | b] has no pivot in the last
+    column.  Tree edges give zero rows; all rows go to `rref_mod` reduced mod
     ell and deduplicated, which changes neither their span nor its pivots.
     """
     n, ell, q = prod.n, prod.ell, len(prod.powers)
-    m, gens = len(gens), list(gens)
+    gens, m = list(sd.gen_images), len(sd.gen_images)
     # step[u, j]: rho(u) v_s + c(u, s) for s = gens[j], in z and the constant
     step = np.zeros((n, m, q, m * q + 1), dtype=np.int64)
     rho = prod.act[:, prod.powers].transpose(0, 2, 1)  # rho(u), one matrix per u
     for j in range(m):
         step[:, j, :, j * q:(j + 1) * q] = rho
     step[..., -1] = prod.coc[:, gens]
-    reach = prod.gmul[:, gens]
     f = np.zeros((n, q, m * q + 1), dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    level = np.zeros(1, dtype=np.intp)
-    while len(level):
-        edges = reach[level].ravel()
-        fresh = np.flatnonzero(~seen[edges])
-        _, first = np.unique(edges[fresh], return_index=True)
-        tree = fresh[np.sort(first)]
-        src, j = level[tree // m], tree % m
-        level = edges[tree]
-        seen[level] = True
-        f[level] = (f[src] + step[src, j]) % ell
-    rows = ((f[:, None] + step - f[reach]) % ell).reshape(-1, m * q + 1)
+    for level, src, move in sd.levels:
+        edge = step[np.where(move % 2, level, src), move // 2]
+        f[level] = (f[src] + SIGN[move, None, None] * edge) % ell
+    rows = ((f[:, None] + step - f[prod.gmul[:, gens]]) % ell).reshape(-1, m * q + 1)
     # distinct rows, compared as bytes
     rows = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))
     _, pivots = rref_mod(rows.view(np.int64).reshape(-1, m * q + 1), ell)

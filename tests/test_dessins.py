@@ -87,7 +87,7 @@ def test_abelian_group_has_no_hurwitz_triples():
 
 
 def test_census_small():
-    cat = census_catalog(7)
+    cat = census_catalog()
     result = hurwitz_census(cat, 7)
     assert result["counts"] == {"2": 0, "3": 1, "4": 0, "5": 0, "6": 0, "7": 1}
     assert result["catalog_conditional"] is True
@@ -100,7 +100,7 @@ def test_census_small():
 def test_census_merges_isomorphic_candidates():
     # a relabelled second PSL(2,7) gives order 168 two candidates, and the
     # cross-group merge keeps one class
-    cat = census_catalog(7)
+    cat = census_catalog()
     G = catalog.psl2(7)
     sigma = tuple((5 * i + 3) % G.degree for i in range(G.degree))
     gens = [pmul(pmul(sigma, g), pinv(sigma)) for g in reversed(G.generators)]
@@ -112,7 +112,7 @@ def test_census_merges_isomorphic_candidates():
 
 
 def test_census_raises_errors_other_than_cap(monkeypatch):
-    cat = census_catalog(3)
+    cat = census_catalog()
 
     def broken(order):
         raise RuntimeError("catalog bug")

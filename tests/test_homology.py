@@ -241,7 +241,8 @@ def test_kernel_hands_rref_only_the_product_cycles(ell, monkeypatch):
 
 def _queue_tree(G, gx, gy):
     """Oracle: the one-at-a-time BFS tree with move order (x, x^-1, y, y^-1),
-    its words, and the non-tree (coset, gen) columns in order."""
+    its words, the non-tree (coset, gen) columns in order, and the tables
+    right[g][u] = u*g and right_inv[g][u] = u*g^-1."""
     right = [G.right_mult_table(g) for g in (gx, gy)]
     right_inv = [G.right_mult_table(G.inv(g)) for g in (gx, gy)]
     tree_word = [None] * G.order
@@ -257,7 +258,7 @@ def _queue_tree(G, gx, gy):
                 queue.append(v)
     columns = [(u, g) for u in range(G.order) for g in (0, 1)
                if (u, g) not in tree_edges]
-    return tree_word, columns
+    return tree_word, columns, right, right_inv
 
 
 @pytest.mark.parametrize("name", ["PSL(2,7)", "PSL(2,13)", "2^3.PSL(2,7)#1"])
@@ -271,10 +272,17 @@ def test_level_tree_matches_queue_bfs(name):
         gx, gy = t.x, t.y
     type_ = tuple(G.element_order(g) for g in (gx, gy, G.mul(gx, gy)))
     sd = schreier_data(type_, G, gx, gy)
-    tree_word, columns = _queue_tree(G, gx, gy)
+    tree_word, columns, right, right_inv = _queue_tree(G, gx, gy)
     assert sd.tree_word == tree_word
-    assert sd.columns == columns
-    assert sd.column == {ug: j for j, ug in enumerate(columns)}
+    assert sd.edges.tolist() == [2 * u + g for u, g in columns]
+    assert sd.next_coset.tolist() == [right[0], right_inv[0], right[1], right_inv[1],
+                                      list(range(G.order))]
+    # a letter g at u reads the edge (u, g); g^-1 at u reads (u*g^-1, g)
+    column = {ug: j for j, ug in enumerate(columns)}
+    assert sd.edge_column.tolist() == [
+        [column.get((u, g) if s > 0 else (right_inv[g][u], g), len(columns))
+         for u in range(G.order)]
+        for g, s in [(0, 1), (0, -1), (1, 1), (1, -1)]] + [[len(columns)] * G.order]
     assert sd.num_schreier == G.order + 1
 
 
@@ -405,7 +413,7 @@ def _copies(mod, U, k):
     """S^k for S the submodule U: block-diagonal copies of its action."""
     eye = np.eye(k, dtype=np.int64)
     action = [np.kron(eye, S) for S in _restricted(mod, U)]
-    return GModule(mod.ell, k * len(U), action, None, [])
+    return GModule(mod.ell, k * len(U), action, None)
 
 
 def _module(name):
@@ -482,7 +490,7 @@ def test_lattice_of_dual_is_the_annihilators(lattice_case):
     _, mod, lattice = lattice_case
     n, ell = mod.dim, mod.ell
     dual = GModule(ell, n, [homology._matinv(A, ell).T.copy() for A in mod.action],
-                   None, [])
+                   None)
     annihilators = [_perp(U, n, ell) for U in lattice]
     assert _keys(submodule_lattice(dual)) == _keys(annihilators)
     assert len(_keys(annihilators)) == len(lattice)
@@ -519,7 +527,7 @@ def _plus_trivial(mod, k):
         B = np.eye(n, dtype=np.int64)
         B[:mod.dim, :mod.dim] = A
         action.append(B)
-    return GModule(mod.ell, n, action, None, [])
+    return GModule(mod.ell, n, action, None)
 
 
 @pytest.mark.parametrize("name,k", [("PSL(2,7) mod 7", 0), ("PSL(2,7) mod 7", 1),
@@ -548,7 +556,7 @@ def test_lines_and_hyperplanes_beyond_the_lattice(name, k, monkeypatch):
 def _trivial_or_plus_trivial(name, k):
     if name == "trivial":
         eye = np.eye(k, dtype=np.int64)
-        return GModule(7, k, [eye, eye], None, [])
+        return GModule(7, k, [eye, eye], None)
     return _plus_trivial(_module(name), k)
 
 
@@ -867,6 +875,33 @@ def test_split_flag_matches_presentation_oracle(ell, dim_U, order, pairs):
         assert ext.group.order == order
         assert _presentation_lifts(ext, *sd.gen_images) == pairs
         assert ext.split is (pairs > 0)
+
+
+@pytest.mark.parametrize("dim_U,order,pairs", [(0, 54, 9), (1, 18, 3)])
+def test_split_flag_with_inverse_tree_moves(dim_U, order, pairs):
+    """The (2,3,6) triangle group Z^2:C6 splits, and so does each quotient
+    of its kernel homology mod 3: the lift pairs (a, b) of (x, y) with
+    a^2 = b^3 = [a, b] = 1, the relators of C6, generate complements.  The
+    Schreier tree of C6 reaches cosets by y^-1 moves, where the section
+    takes f(u s^-1) = f(u) - (rho(u s^-1) v_s + c(u s^-1, s)); a + there
+    reads non-split, and at ell = 2 the sign could not show."""
+    G = catalog.cyclic(6)
+    orders = G.element_orders()
+    gx, gy = orders.index(2), orders.index(3)
+    sd = schreier_data((2, 3, 6), G, gx, gy)
+    assert any((move % 2).any() for _, _, move in sd.levels)
+    mod = kernel_mod_ell_homology(sd, 3)
+    (U,) = invariant_submodules(mod, dim_U)
+    ext = extension_quotient(mod, U)
+    E = ext.group
+    assert E.order == order
+    project = np.array(E.keys) % G.order
+    a, b = np.meshgrid(np.flatnonzero(project == gx), np.flatnonzero(project == gy))
+    a, b = a.ravel(), b.ravel()
+    ok = ((E.products(a, a) == 0) & (E.products(E.products(b, b), b) == 0)
+          & (E.products(a, b) == E.products(b, a)))
+    assert int(ok.sum()) == pairs
+    assert ext.split is (pairs > 0)
 
 
 def test_order_10752_extension(klein):

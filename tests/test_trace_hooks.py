@@ -5,12 +5,14 @@ refactor that renames or removes one breaks `perfbench/run.py --trace 1`.
 """
 
 import importlib
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-import hurwitz.cli  # noqa: E402,F401  (loads every hurwitz module)
+import hurwitz.cli  # noqa: E402  (loads every hurwitz module)
 import spans  # noqa: E402
 
 
@@ -51,3 +53,31 @@ def test_install_then_uninstall_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+# jobs whose spans take work notes: groups built, dessin and origami classes
+# found, kernel relation rows (`SchreierData.relator_words`), subspaces
+TRACED_JOBS = [
+    ("dessins", "--group", "psl2:7"),
+    ("origami", "--genus", "3"),
+    ("homology", "--group", "psl2:7", "--ell", "2", "--invariant-dim", "3"),
+]
+
+
+def test_traced_jobs_note_their_work():
+    """The work notes read the library only under `run.py --trace 1`, so a
+    rename they miss shows here and not in the untraced jobs."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in TRACED_JOBS:
+            with redirect_stdout(io.StringIO()):
+                assert tracer.job(lambda argv=argv: hurwitz.cli.main(list(argv))) == 0
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, tracer.pmul_calls())
+    assert metrics["cli.jobs"][0] == len(TRACED_JOBS)
+    for name in ("group.elements_built", "dessins.classes_found",
+                 "origami.classes_found", "homology.relation_rows",
+                 "homology.subspaces_scanned"):
+        assert metrics[name][0] > 0, name
