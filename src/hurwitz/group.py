@@ -38,15 +38,19 @@ class FinGroup:
     (identity first) so indices, class representatives and all derived
     output are reproducible.  `products` is the batch product on index
     arrays that the builder supplies; every other operation is defined on
-    it.  The permutation rows `elements` are the keys of a permutation
-    group; a rule group computes them with `row` only when they are read,
-    for oracles and tests.
+    it.  `gen_tables`, a (len(gen_indices), order) int array that the
+    builder keeps from its closure, holds the generators' right
+    multiplications: gen_tables[k][u] is the index of u * generator k.
+    The permutation rows `elements` are the keys of a permutation group; a
+    rule group computes them with `row` only when they are read, for
+    oracles and tests.
     """
 
-    def __init__(self, keys, gen_indices, product, name, degree, row=None):
+    def __init__(self, keys, gen_indices, gen_tables, product, name, degree, row=None):
         self.keys = keys
         self.order = len(keys)
         self.gen_indices = list(gen_indices)
+        self.gen_tables = gen_tables
         self.name = name
         self.degree = degree
         self._product = product
@@ -139,20 +143,13 @@ class FinGroup:
         self.element_orders()
         return self._inverses
 
-    def element_key(self, i: int):
-        """The element's key, which orders classes canonically: a
-        permutation, or a code.  Row i of a rule group's regular action
-        starts with codes[i], the image of the identity's code 0, and codes
-        differ, so codes order the elements as their rows do."""
-        return self.keys[i]
-
     # -- conjugacy classes ---------------------------------------------------
 
     def conjugacy_classes(self):
         """Partition of element indices into classes, canonically sorted.
 
         Classes are ordered by element order, then class size, then by the
-        least member key (`element_key`).
+        least member key.
         """
         if self._classes is None:
             self._classes = conjugacy_classes(self)
@@ -205,22 +202,20 @@ class FinGroup:
         """(conj, undo), two arrays with one row per generator g of G:
         conj[k][u] = g^-1 * u * g and undo[k][v] = g^-1 * v (cached).
 
-        The products u * g and g * u for every u and g take `products`
-        batches of at most max(BATCH, |G|) entries; undo inverts the permutation
+        The products g * u for every u and g take `products` batches of at
+        most max(BATCH, |G|) entries; undo inverts the permutation
         u -> g * u, so undo[k][0] is g^-1 and conj[k] is undo[k] read at
-        u * g.
+        u * g, from `gen_tables`.
         """
         if self._conj is None:
             n, k = self.order, len(self.gen_indices)
             u, g = np.tile(np.arange(n), k), np.repeat(self.gen_indices, n)
-            I, J = np.concatenate([u, g]), np.concatenate([g, u])
             step = max(BATCH, n)
-            right, left = np.concatenate(
-                [self.products(I[s:s + step], J[s:s + step])
-                 for s in range(0, len(I), step)]).reshape(2, k, n)
+            left = np.concatenate([self.products(g[s:s + step], u[s:s + step])
+                                   for s in range(0, k * n, step)]).reshape(k, n)
             undo = np.empty_like(left)
             undo[np.arange(k)[:, None], left] = np.arange(n)
-            self._conj = np.take_along_axis(undo, right, axis=1), undo
+            self._conj = np.take_along_axis(undo, self.gen_tables, axis=1), undo
         return self._conj
 
     def right_mult_table(self, i: int):
@@ -228,32 +223,12 @@ class FinGroup:
         return self.products(np.arange(self.order), np.full(self.order, i)).tolist()
 
 
-def _base(elements):
-    """A base of the permutations `elements`.
-
-    A base is a list of points whose images determine an element (Sims; Holt,
-    Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
-    Points join in order when they separate more elements, until all
-    elements have distinct images.
-    """
-    base = []
-    images = [()] * len(elements)
-    distinct = 1
-    for p in range(len(elements[0])):
-        if distinct == len(elements):
-            break
-        extended = [im + (e[p],) for im, e in zip(images, elements)]
-        count = len(set(extended))
-        if count > distinct:
-            base.append(p)
-            images, distinct = extended, count
-    return base
-
-
 def _base_product(elements, degree):
     """The base-image product of the permutations `elements` (n of them), as
     a function of two index arrays.
 
+    A base is a list of points whose images determine an element (Sims; Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
     The product a*b maps a base point p to a[b[p]], so its base images are
     a's images of b's base images, one gather per base point from the
     flattened n x degree element array (smallest unsigned dtype that holds
@@ -261,24 +236,30 @@ def _base_product(elements, degree):
     elements' prefixes, in lexicographic order; a base point's dense table
     maps code * degree + image to the code of the longer prefix (at most
     n * degree entries), and `by_code` maps the last codes to indices.
+    Points are tried in order and join the base when their images split the
+    prefixes into more codes, until the n elements have n codes.
     """
     n = len(elements)
     A = np.fromiter(chain.from_iterable(elements),
                     dtype=np.min_scalar_type(max(degree - 1, 0)),
                     count=n * degree).reshape(n, degree)
-    columns = [A[:, p].copy() for p in _base(elements)]
     degree = np.intp(degree)  # keeps int32 codes * degree in intp
-    tables = []
+    columns, tables = [], []
     code, count = np.zeros(n, dtype=np.intp), 1
-    for column in columns:
+    for column in A.T:
+        if count == n:
+            break
         key = code * degree + column
         present = np.zeros(count * degree, dtype=bool)
         present[key] = True
+        if np.count_nonzero(present) == count:
+            continue
         # not np.unique: it imports numpy.ma, 1.6 MB of resident memory
         found = np.flatnonzero(present)
         table = np.zeros(len(present), dtype=np.int32)
         table[found] = np.arange(len(found))
         code, count = table[key], len(found)
+        columns.append(column.copy())
         tables.append(table)
     by_code = np.empty(n, dtype=np.intp)
     by_code[code] = np.arange(n)
@@ -312,20 +293,25 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
     # u * s = (u[s[0]], u[s[1]], ...): one C-level gather per product.  A
     # group of degree 0 or 1 is trivial, and itemgetter needs two points.
     steps = [itemgetter(*s) for s in gens] if degree > 1 else []
+    targets = [] if steps else [0] * len(gens)  # index of u * s, by u and then s
+    record, setdefault, n = targets.append, index.setdefault, 1
     for u in elements:
         for step in steps:
             v = step(u)
-            if v not in index:
-                if len(elements) >= cap:
-                    raise _cap_error(name, len(elements) + 1, cap, f"degree {degree}")
-                index[v] = len(elements)
+            i = setdefault(v, n)
+            record(i)
+            if i == n:
+                if n >= cap:
+                    raise _cap_error(name, n + 1, cap, f"degree {degree}")
                 elements.append(v)
+                n += 1
+    tables = np.array(targets, dtype=np.intp).reshape(n, len(gens)).T
 
     # many groups are built only to read their order; the product refers not
     # to the group, lest a cycle keep it alive until a full collection
     build = cache(partial(_base_product, elements, degree))
-    return FinGroup(elements, [index[g] for g in gens], lambda I, J: build()(I, J),
-                    name, degree)
+    return FinGroup(elements, [index[g] for g in gens], tables,
+                    lambda I, J: build()(I, J), name, degree)
 
 
 def _rule_row(rule, ncodes, code):
@@ -369,10 +355,12 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
     found = np.zeros(ncodes, dtype=bool)
     found[0] = True
     levels = [np.zeros(1, dtype=np.int64)]
+    reaches = []
     order = 1
     while len(levels[-1]):
         last = levels[-1]
         reach = rule(np.repeat(last, len(gens)), np.tile(gens, len(last)))
+        reaches.append(reach)
         level = reach[first_new(reach, found)]
         order += len(level)
         if order > cap:
@@ -382,17 +370,21 @@ def group_from_rule(rule, gens, ncodes, cap=DEFAULT_CAP, name=None) -> FinGroup:
     codes = np.concatenate(levels)
     by_code = np.full(ncodes, -1, dtype=np.intp)
     by_code[codes] = np.arange(len(codes))
+    tables = by_code[np.concatenate(reaches)].reshape(order, len(gens)).T
 
     def products(I, J):
         return by_code[rule(codes[I], codes[J])]
-    return FinGroup(codes.tolist(), by_code[gens].tolist(), products, name, ncodes,
-                    row=partial(_rule_row, rule, ncodes))
+    return FinGroup(codes.tolist(), by_code[gens].tolist(), tables, products, name,
+                    ncodes, row=partial(_rule_row, rule, ncodes))
 
 
 def conjugacy_classes(G: FinGroup):
     """Classes as orbits under conjugation by the generators, canonically sorted.
 
     The orbits are labelled by `orbit_minima` on the `conjugation_tables`.
+    Keys order the classes: a permutation, or a code.  Row i of a rule
+    group's regular action starts with codes[i], the image of the identity's
+    code 0, and codes differ, so codes order the elements as their rows do.
     """
     label = orbit_minima(G.conjugation_tables()[0])
     members = np.argsort(label, kind="stable").tolist()
@@ -400,8 +392,8 @@ def conjugacy_classes(G: FinGroup):
     ends = np.cumsum(sizes[sizes > 0]).tolist()
     classes = [members[start:end] for start, end in zip([0] + ends, ends)]
     orders = G.element_orders()
-    classes.sort(key=lambda cls: (orders[cls[0]], len(cls),
-                                  min(map(G.element_key, cls))))
+    key = G.keys.__getitem__
+    classes.sort(key=lambda cls: (orders[cls[0]], len(cls), min(map(key, cls))))
     return classes
 
 
@@ -471,8 +463,8 @@ def commutator_subgroup(G: FinGroup):
     commutators [a, b] = a^-1 * (b^-1 * (a * b)) of generators a before b
     ([b, a] = [a, b]^-1).
 
-    One `products` batch gives a * b and b * a for every pair.  When all
-    pairs commute the derived subgroup is trivial and no table is built;
+    `gen_tables` gives a * b and b * a for every pair.  When all pairs
+    commute the derived subgroup is trivial and no `products` call is made;
     otherwise b^-1 and a^-1 are applied by the `undo` rows of the
     conjugation tables.
     """
@@ -480,8 +472,8 @@ def commutator_subgroup(G: FinGroup):
     first = np.array([i for i in range(k) for _ in range(i + 1, k)], dtype=np.intp)
     second = np.array([j for i in range(k) for j in range(i + 1, k)], dtype=np.intp)
     gens = np.array(G.gen_indices)
-    a, b = gens[first], gens[second]
-    ab, ba = G.products(np.concatenate([a, b]), np.concatenate([b, a])).reshape(2, -1)
+    right = G.gen_tables
+    ab, ba = right[second, gens[first]], right[first, gens[second]]
     live = ab != ba
     if not live.any():
         return [0]

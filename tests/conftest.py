@@ -2,8 +2,6 @@ import weakref
 
 import numpy as np
 
-from hurwitz.group import _base
-
 ACCEPTANCE_LINES = []
 
 
@@ -18,8 +16,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.line(line)
 
 
+def _base(elements):
+    """The oracle's own base of the permutations `elements`.
+
+    A base is a list of points whose images determine an element (Sims; Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    Points join in order when they separate more elements, until all
+    elements have distinct images: the rule `group._base_product` applies
+    to its prefix codes, here on tuples in a set.
+    """
+    base = []
+    images = [()] * len(elements)
+    distinct = 1
+    for p in range(len(elements[0])):
+        if distinct == len(elements):
+            break
+        extended = [im + (e[p],) for im, e in zip(images, elements)]
+        count = len(set(extended))
+        if count > distinct:
+            base.append(p)
+            images, distinct = extended, count
+    return base
+
+
 def _base_columns(G):
-    """G's permutation rows as an array, and the base `group._base` picks."""
+    """G's permutation rows as an array, and the base `_base` picks."""
     A = np.array(G.elements, dtype=np.intp).reshape(G.order, G.degree)
     return A, _base(G.elements)
 
@@ -37,8 +58,9 @@ def tuple_mul(G):
     """Oracle for `FinGroup.mul`: the scalar base-image product on tuples.
 
     a*b maps a base point p to a[b[p]], the `pmul` image; the tuple of
-    those images is looked up in a dict.  It shares no code with
-    `FinGroup.products` but the choice of base, and is built once per group.
+    those images is looked up in a dict.  Its base comes from its own
+    `_base`, so it shares no code with `FinGroup.products`; it is built
+    once per group.
     """
     if G not in _TUPLE_MULS:
         rows = G.elements

@@ -214,9 +214,9 @@ def test_subgroup_closure_matches_scalar_oracle(build):
 def test_commutator_subgroup_is_table_driven(monkeypatch):
     """On PSL(2,13) the normal-closure BFS makes no scalar `mul`, and the
     derived subgroup takes at most five `products` batches however many
-    levels the BFS has (three are made: one for the generator pairs, one
-    for the conjugation tables and one for the seeds' right-multiplication
-    table)."""
+    levels the BFS has (two are made: one for the conjugation tables and one
+    for the seeds' right-multiplication table; the generator pairs are read
+    off `gen_tables`)."""
     G = catalog.psl2(13)
     calls, inside, entered = [], [], []
     products, mul, closure = group.FinGroup.products, group.FinGroup.mul, normal_closure
@@ -255,7 +255,10 @@ def test_closure_and_inverse_laws(i, j):
 
 # one base shape each: empty, one point per factor, three points of the
 # projective line, two points, one point of a regular action, the long
-# bases of S8 and A8, and two points of SL(2,13) on its 168 nonzero vectors
+# bases of S8 and A8, and two points of SL(2,13) on its 168 nonzero vectors;
+# and bases that the scan in `_base_product` reaches past points it skips
+# (SL(2,7): 0 and 6 of its 48 nonzero vectors; C16xC2xC2: 0, 16 and 18) or
+# that stop before the last point (S7: 0..5)
 MUL_CASES = {
     "C1": (lambda: catalog.cyclic(1), 0),
     "C2xC2xC3": (lambda: catalog.abelian([2, 2, 3]), 3),
@@ -265,6 +268,9 @@ MUL_CASES = {
     "S8": (lambda: catalog.symmetric(8), 7),
     "A8": (lambda: catalog.alternating(8), 6),
     "SL(2,13)": (lambda: catalog.sl2(13), 2),
+    "SL(2,7)": (lambda: catalog.sl2(7), 2),
+    "S7": (lambda: catalog.symmetric(7), 6),
+    "C16xC2xC2": (lambda: catalog.abelian([16, 2, 2]), 3),
 }
 
 
@@ -312,9 +318,11 @@ def test_products_exact_past_int64_codes():
 def test_base_product_built_on_first_products_call(monkeypatch):
     """`group_from_generators` builds the base-image product only for the
     groups whose `products` is called.  Over the genus 2..18 origami
-    searches that is 111 of the 155 groups built: the others are
-    `semidirect` matrix groups, closed only to read their order, and
-    factors or duplicates that `groups_of_order` drops."""
+    searches that is 51 of the 155 groups built: the others are the 60
+    abelian groups, whose commuting generators `commutator_subgroup` reads
+    off `gen_tables` with no product, `semidirect` matrix groups, closed
+    only to read their order, and factors or duplicates that
+    `groups_of_order` drops."""
     built, multiplied, based = [], set(), set()
     init, products, base_product = (group.FinGroup.__init__, group.FinGroup.products,
                                     group._base_product)
@@ -337,7 +345,7 @@ def test_base_product_built_on_first_products_call(monkeypatch):
     for g in range(2, 19):
         origami_existence(g)
     assert based == multiplied
-    assert (len(based), len(built)) == (111, 155)
+    assert (len(based), len(built)) == (51, 155)
 
 
 def test_cauchy_exit_matches_the_involution_oracle(monkeypatch):
@@ -479,6 +487,50 @@ def test_rule_closure_checks_its_input():
     for gens in ([], [42], [-1]):
         with pytest.raises(ValueError):
             group_from_rule(_affine_rule, gens, 42)
+
+
+# every builder and its edge cases: trivial groups of degree 0, 1 and 3,
+# repeated generators, the closures of CLOSURE_CASES, the rule groups of
+# RULE_CASES and the order-1344 extension built by a product rule
+GEN_TABLE_CASES = {
+    **{f"perms {name}": (lambda gens=gens: group_from_generators(gens()))
+       for name, gens in CLOSURE_CASES.items()},
+    "perms identity": lambda: group_from_generators([(0, 1, 2)] * 2),
+    "perms repeated": lambda: group_from_generators([(1, 0, 2), (1, 2, 0), (1, 0, 2)]),
+    **{f"rule {name}": (lambda gens=gens: group_from_rule(_affine_rule, gens, 42))
+       for name, gens in RULE_CASES.items()},
+    "rule repeated": lambda: group_from_rule(_affine_rule, [1, 7 * 2 + 1, 1], 42),
+    "rule 2^3.PSL(2,7)#1": lambda: homology.klein_extension_groups()[0].group,
+}
+
+
+@pytest.mark.parametrize("build", GEN_TABLE_CASES.values(), ids=GEN_TABLE_CASES.keys())
+def test_gen_tables_are_the_generators_right_multiplications(build):
+    G = build()
+    assert G.gen_tables.shape == (len(G.gen_indices), G.order)
+    for table, g in zip(G.gen_tables, G.gen_indices):
+        assert table.tolist() == G.right_mult_table(g)
+
+
+ABELIAN_CASES = {
+    "C12": lambda: catalog.cyclic(12),
+    "C16xC2xC2": lambda: catalog.abelian([16, 2, 2]),
+    "C4xC4xC3": lambda: catalog.abelian([4, 4, 3]),
+    "rule C7": lambda: group_from_rule(_affine_rule, [1, 2, 1], 42),
+}
+
+
+@pytest.mark.parametrize("build", ABELIAN_CASES.values(), ids=ABELIAN_CASES.keys())
+def test_abelian_derived_subgroup_makes_no_product(build, monkeypatch):
+    """Commuting generators are read off `gen_tables`: the derived subgroup
+    is trivial, and no product (so no base-image product) is made."""
+    G = build()
+
+    def refuse(self, I, J):
+        raise AssertionError("products called")
+
+    monkeypatch.setattr(group.FinGroup, "products", refuse)
+    assert commutator_subgroup(G) == [0]
 
 
 def test_perm_helpers():
