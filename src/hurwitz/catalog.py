@@ -34,13 +34,19 @@ def _check_order(G: FinGroup, expected: int) -> FinGroup:
 
 # -- elementary families -----------------------------------------------------
 
+def abelian_name(orders) -> str:
+    """Name of the direct product of cyclic groups of these orders, in this
+    order, as `cyclic` and `abelian` give it."""
+    return "x".join(f"C{m}" for m in orders)
+
+
 def cyclic(n: int, cap=DEFAULT_CAP) -> FinGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
     if n == 1:
-        return group_from_generators([()], cap=cap, name="C1")
+        return group_from_generators([()], cap=cap, name=abelian_name([1]))
     gen = tuple((i + 1) % n for i in range(n))
-    return _check_order(group_from_generators([gen], cap=cap, name=f"C{n}"), n)
+    return _check_order(group_from_generators([gen], cap=cap, name=abelian_name([n])), n)
 
 
 def abelian(orders, cap=DEFAULT_CAP) -> FinGroup:
@@ -59,8 +65,8 @@ def abelian(orders, cap=DEFAULT_CAP) -> FinGroup:
         gens.append(tuple(images))
         offset += m
         order *= m
-    name = "x".join(f"C{m}" for m in orders)
-    return _check_order(group_from_generators(gens, cap=cap, name=name), order)
+    return _check_order(group_from_generators(gens, cap=cap, name=abelian_name(orders)),
+                        order)
 
 
 def dihedral(m: int, cap=DEFAULT_CAP) -> FinGroup:
@@ -289,20 +295,21 @@ def groups_of_order_4p(p: int, cap=DEFAULT_CAP):
     A_4 instead (the only order-4p group whose Sylow p-subgroup is not
     normal, possible only when p divides 4! / 4).
     """
+    return _joined(*groups_of_order_4p_split(p, cap=cap), cap)
+
+
+def groups_of_order_4p_split(p: int, cap=DEFAULT_CAP):
+    """`groups_of_order_4p` as (abelian types, non-abelian groups): the two
+    abelian types are factor lists in the order of their names, unbuilt."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
-    out = [
-        cyclic(4 * p, cap=cap),
-        abelian([2, 2 * p], cap=cap),
-        dihedral(2 * p, cap=cap),
-        dicyclic(p, cap=cap),
-    ]
+    rest = [dihedral(2 * p, cap=cap), dicyclic(p, cap=cap)]
     if p == 3:
-        out.append(alternating(4, cap=cap))
+        rest.append(alternating(4, cap=cap))
     if (p - 1) % 4 == 0:
         t = next(t for t in range(2, p) if pow(t, 2, p) == p - 1)
-        out.append(semidirect([p], [[[t]]], cap=cap, name=f"C{p}:C4"))
-    return out
+        rest.append(semidirect([p], [[[t]]], cap=cap, name=f"C{p}:C4"))
+    return [[4 * p], [2, 2 * p]], rest
 
 
 def abelian_types(n: int):
@@ -326,9 +333,13 @@ def abelian_types(n: int):
 
 def groups_of_order(n: int, cap=DEFAULT_CAP):
     """Catalog groups of order n (not a complete classification in general)."""
+    return _joined(*groups_of_order_split(n, cap=cap), cap)
+
+
+def groups_of_order_split(n: int, cap=DEFAULT_CAP):
+    """`groups_of_order` as (abelian types, non-abelian groups): the
+    abelian types are `abelian_types(n)`, unbuilt."""
     out = []
-    for typ in abelian_types(n):
-        out.append(abelian(typ, cap=cap) if len(typ) > 1 else cyclic(typ[0], cap=cap))
     if n % 2 == 0 and n >= 6:
         m = n // 2
         if m >= 3:
@@ -354,7 +365,13 @@ def groups_of_order(n: int, cap=DEFAULT_CAP):
     if n % 12 == 0 and n > 12:
         out.append(direct_product(cyclic(n // 12, cap=cap),
                                   alternating(4, cap=cap), cap=cap))
-    return out
+    return abelian_types(n), out
+
+
+def _joined(types, rest, cap):
+    """The abelian groups of the given types, then the rest."""
+    return [abelian(t, cap=cap) if len(t) > 1 else cyclic(t[0], cap=cap)
+            for t in types] + rest
 
 
 # -- generator file format ---------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog as _catalog
 from .fields import is_prime
-from .group import FinGroup, classify_pairs, normal_closure
+from .group import CapExceededError, FinGroup, classify_pairs, normal_closure
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,27 @@ def enumerate_origami_pairs(G: FinGroup):
 def _may_have_pairs(G: FinGroup) -> bool:
     """Can a pair with commutator c of order 2 generate G?  Then 4 divides
     |G| = 4(g - 1), and G' is the normal closure of the involution c (the
-    pair's images in G/<<c>> commute), so |G'| is even and some class of
-    involutions in G' has normal closure G': one `normal_closure` per class."""
-    if G.order % 4 or len(G.commutator_subgroup()) % 2:
+    pair's images in G/<<c>> commute), so |G'| is even and some involution
+    of G' has normal closure G'.
+
+    The involutions of G' come from one `products` batch of its squares and
+    are tried in index order.  One that lies in an earlier, smaller closure
+    is skipped: that closure is normal, so it holds the whole class."""
+    if G.order % 4:
         return False
-    derived = set(G.commutator_subgroup())
-    return any(len(normal_closure(G, [cls[0]])) == len(derived)
-               for cls in G.conjugacy_classes()
-               if cls[0] in derived and G.element_order(cls[0]) == 2)
+    derived = np.array(G.commutator_subgroup())
+    if len(derived) % 2:
+        return False
+    covered = np.zeros(G.order, dtype=bool)
+    covered[0] = True
+    for c in derived[G.products(derived, derived) == 0].tolist():
+        if covered[c]:
+            continue
+        closure = normal_closure(G, [c])
+        if len(closure) == len(derived):
+            return True
+        covered[closure] = True
+    return False
 
 
 @dataclass(frozen=True)
@@ -116,6 +129,11 @@ class ExistenceVerdict:
 def origami_existence(g: int, groups=None, cap=None) -> ExistenceVerdict:
     """Search for a Hurwitz origami in genus g over groups of order 4(g-1).
 
+    Without `groups`, the catalog's groups of the order are searched: its
+    abelian types are named in `searched_groups` but never built, since
+    their commutators are trivial, and an order above the cap raises
+    `CapExceededError` before any group is built.
+
     exhaustive_no is only issued when the searched list provably covers all
     isomorphism types of the order (orders 4 and 4p for odd primes p);
     otherwise a fruitless search reports unknown_no_witness.
@@ -125,16 +143,19 @@ def origami_existence(g: int, groups=None, cap=None) -> ExistenceVerdict:
     order = 4 * (g - 1)
     cap = cap or max(4 * order, 1000)
     complete = False
+    named = ()
     if groups is None:
-        if order == 4:
-            groups = [_catalog.cyclic(4), _catalog.abelian([2, 2])]
-            complete = True
-        elif order % 4 == 0 and is_prime(order // 4) and order // 4 > 2:
-            groups = _catalog.groups_of_order_4p(order // 4, cap=cap)
+        if order > cap:
+            raise CapExceededError(f"origami search: order {order} > cap {cap}")
+        p = order // 4
+        if is_prime(p) and p > 2:
+            types, groups = _catalog.groups_of_order_4p_split(p, cap=cap)
             complete = True
         else:
-            groups = _catalog.groups_of_order(order, cap=cap)
-    searched = tuple(G.name for G in groups)
+            types, groups = _catalog.groups_of_order_split(order, cap=cap)
+            complete = order == 4
+        named = tuple(map(_catalog.abelian_name, types))
+    searched = named + tuple(G.name for G in groups)
     for G in groups:
         if G.order != order:
             raise ValueError(f"{G.name} has order {G.order}, expected {order}")

@@ -2,6 +2,9 @@ import weakref
 
 import numpy as np
 
+from hurwitz import catalog
+from hurwitz.fields import is_prime
+
 ACCEPTANCE_LINES = []
 
 
@@ -68,3 +71,12 @@ def tuple_mul(G):
         by_base = {tuple(row): i for i, row in enumerate(A[:, base].tolist())}
         _TUPLE_MULS[G] = lambda i, j: by_base[tuple([rows[i][rows[j][p]] for p in base])]
     return _TUPLE_MULS[G]
+
+
+def catalog_search_groups(g):
+    """Every catalog group of order 4(g - 1) in the order the genus-g origami
+    search names them, all built: `groups_of_order_4p` when g - 1 is an odd
+    prime, else `groups_of_order`."""
+    if is_prime(g - 1) and g > 3:
+        return catalog.groups_of_order_4p(g - 1)
+    return catalog.groups_of_order(4 * (g - 1))

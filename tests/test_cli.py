@@ -115,6 +115,20 @@ def test_extension_cap_checked_before_any_table(capsys, monkeypatch):
                             "2^6.PSL(2,7)#1: 168 × 2^6 = 10752 > cap 5000)\n")
 
 
+def test_origami_cap_checked_before_any_group(capsys, monkeypatch):
+    # 4 (g - 1) = 399,996 is known from the genus alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("group closed")
+
+    monkeypatch.setattr(group, "group_from_generators", refuse)
+    monkeypatch.setattr(catalog, "group_from_generators", refuse)
+    code = cli.main(["origami", "--genus", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("infeasible: order cap exceeded (origami search: "
+                            "order 399996 > cap 200000)\n")
+
+
 def test_cap_error_names_stage_group_and_degree(capsys):
     code = cli.main(["dessins", "--group", "psl2:32", "--cap", "5000"])
     captured = capsys.readouterr()
@@ -148,6 +162,10 @@ REPORT_PREFIXES = {
     ("dessins", "--group", "psl2:27", "--characters"): "52c3fb0f1cfc52b3",
     ("homology", "--group", "psl2:27", "--ell", "2"): "8be1bf99901ad001",
     ("dessins", "--group", "psl2:29"): "287962a80131dc50",
+    ("origami", "--genus", "16"): "19e9a9df643032ff",  # three A5s, witness C5xA4
+    ("origami", "--genus", "17"): "800dd6f4921e5d14",
+    ("origami", "--genus", "24"): "c7a789e515f258e1",  # exhaustive_no at order 4p
+    ("origami", "--genus", "37"): "8ec4b947ab844afa",
 }
 
 

@@ -7,8 +7,11 @@ import pytest
 
 import hurwitz
 from hurwitz import catalog, origami
+from hurwitz.fields import is_prime
+from hurwitz.group import normal_closure
 from hurwitz.origami import (enumerate_origami_pairs, origami_existence,
                              origami_genus)
+from conftest import catalog_search_groups
 
 
 def test_origami_genus():
@@ -118,35 +121,104 @@ def test_genus_17_witness_scan_batches_its_products():
     assert len(calls) < 100
 
 
-def test_derived_subgroup_gate_rejects_only_groups_without_pairs(monkeypatch):
-    """G = <a, b> makes G' the normal closure of the involution [a, b].  The
-    gate may reject a group only when the unpruned scan finds no pair; of
-    the groups `origami --genus 2..18` scans in full for nothing, it rejects
-    all but the three copies of A5."""
-    searched = []  # every group searched at genus 2..25, in search order
-    monkeypatch.setattr(origami, "enumerate_origami_pairs",
-                        lambda G: searched.append(G) or [])
-    for g in range(2, 26):
+def _searched(monkeypatch, genera):
+    """The groups each genus's search scans, in search order, by genus."""
+    searched = {}
+    for g in genera:
+        monkeypatch.setattr(origami, "enumerate_origami_pairs",
+                            lambda G, out=searched.setdefault(g, []): out.append(G) or [])
         origami_existence(g)
     monkeypatch.undo()
-    assert len(searched) == 186
-    rejected = {id(G) for G in searched if not origami._may_have_pairs(G)}
-    monkeypatch.setattr(origami, "_may_have_pairs", lambda G: True)
-    assert not any(enumerate_origami_pairs(G) for G in searched if id(G) in rejected)
+    return searched
 
-    groups = iter(searched)
+
+def _abelian_catalog_groups(genera):
+    return [G for g in genera for G in catalog_search_groups(g)
+            if G.commutator_subgroup() == [0]]
+
+
+def test_derived_subgroup_gate_rejects_only_groups_without_pairs(monkeypatch):
+    """G = <a, b> makes G' the normal closure of the involution [a, b].  The
+    gate may reject a group only when the unpruned scan finds no pair: on
+    the groups the genus 2..25 searches scan, and on the abelian types they
+    name, built from the catalog.  Of the groups `origami --genus 2..18`
+    scans in full for nothing, it rejects all but the three copies of A5."""
+    searched = _searched(monkeypatch, range(2, 26))
+    assert sum(map(len, searched.values())) == 99
+    groups = [G for gs in searched.values() for G in gs] + \
+        _abelian_catalog_groups(range(2, 26))
+    rejected = {id(G) for G in groups if not origami._may_have_pairs(G)}
+    monkeypatch.setattr(origami, "_may_have_pairs", lambda G: True)
+    assert not any(enumerate_origami_pairs(G) for G in groups if id(G) in rejected)
+
     fruitless = []  # scanned before the witness, past the parity test of |G'|
     for g in range(2, 19):
         v = origami_existence(g)
-        names = list(v.searched_groups)
-        scanned = [next(groups) for _ in names]
+        scanned = searched[g]
         if v.witness is not None:
-            scanned = scanned[:names.index(v.witness.group.name)]
+            scanned = scanned[:[G.name for G in scanned].index(v.witness.group.name)]
         fruitless += [G for G in scanned if len(G.commutator_subgroup()) % 2 == 0]
     assert sorted(G.name for G in fruitless if id(G) not in rejected) == \
         ["A5", "PSL(2,4)", "PSL(2,5)"]
     assert len(fruitless) == 16
     assert {f"D{n}" for n in range(16, 65, 8)} <= {G.name for G in fruitless}
+
+
+def _class_gate(G):
+    """Oracle for `origami._may_have_pairs`: one `normal_closure` per
+    conjugacy class of involutions in G', read off the class list and the
+    element orders."""
+    if G.order % 4 or len(G.commutator_subgroup()) % 2:
+        return False
+    derived = set(G.commutator_subgroup())
+    return any(len(normal_closure(G, [cls[0]])) == len(derived)
+               for cls in G.conjugacy_classes()
+               if cls[0] in derived and G.element_order(cls[0]) == 2)
+
+
+def test_squares_gate_matches_the_class_oracle(monkeypatch):
+    """The gate against the class-based oracle on every group the genus
+    2..25 searches scan, on the abelian catalog groups of those orders and
+    on four groups with even |G'|.  In D8 x A4 the least involution of G'
+    is central and its closure has order 2, but a later one generates G'
+    (order 8): a gate that tries only the least involution, or reads only
+    the parity of |G'|, fails here."""
+    searched = _searched(monkeypatch, range(2, 26))
+    D8A4 = catalog.direct_product(catalog.dihedral(4), catalog.alternating(4))
+    extra = [catalog.sl2(3), catalog.symmetric(4),
+             catalog.direct_product(catalog.cyclic(2), catalog.alternating(4)), D8A4]
+    groups = [G for gs in searched.values() for G in gs] + \
+        _abelian_catalog_groups(range(2, 26)) + extra
+    verdicts = [origami._may_have_pairs(G) for G in groups]
+    assert verdicts == [_class_gate(G) for G in groups]
+    assert [origami._may_have_pairs(G) for G in extra] == [False, False, True, True]
+
+    derived = D8A4.commutator_subgroup()
+    least = min(i for i in derived if D8A4.element_order(i) == 2)
+    assert (len(derived), len(normal_closure(D8A4, [least]))) == (8, 2)
+
+
+def test_abelian_skip_changes_no_verdict(monkeypatch):
+    """Each search against a reference that builds every catalog group of
+    its order and scans them in order (the explicit-groups path, which
+    claims no completeness): the same witness, the same searched names
+    (so the abelian names equal the constructors' names), and no verdict
+    but an exhaustive one where it is due.  The unpruned scan finds no pair
+    in any abelian catalog group of order 4..68."""
+    assert origami_existence(4).searched_groups == ("C12", "C2xC6", "D12", "Dic3", "A4")
+    for g in range(2, 41):
+        v = origami_existence(g)
+        ref = origami_existence(g, groups=catalog_search_groups(g))
+        complete = g == 2 or is_prime(g - 1) and g > 3
+        assert v.verdict == ("exhaustive_no" if complete and ref.witness is None
+                             else ref.verdict), g
+        got, want = v.to_json(), ref.to_json()
+        del got["verdict"], want["verdict"]
+        assert got == want, g
+    monkeypatch.setattr(origami, "_may_have_pairs", lambda G: True)
+    abelian = _abelian_catalog_groups(range(2, 19))
+    assert len(abelian) == 60
+    assert not any(enumerate_origami_pairs(G) for G in abelian)
 
 
 def test_origami_searches_never_import_numpy_ma():
