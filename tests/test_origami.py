@@ -191,7 +191,7 @@ def test_squares_gate_matches_the_class_oracle(monkeypatch):
         _abelian_catalog_groups(range(2, 26)) + extra
     verdicts = [origami._may_have_pairs(G) for G in groups]
     assert verdicts == [_class_gate(G) for G in groups]
-    assert [origami._may_have_pairs(G) for G in extra] == [False, False, True, True]
+    assert verdicts[-len(extra):] == [False, False, True, True]
 
     derived = D8A4.commutator_subgroup()
     least = min(i for i in derived if D8A4.element_order(i) == 2)
