@@ -7,6 +7,7 @@ permutation per line) supports data-pack groups.
 
 from __future__ import annotations
 
+from itertools import product
 from math import factorial
 from pathlib import Path
 
@@ -156,16 +157,8 @@ def semidirect(mod_orders, matrices, cap=DEFAULT_CAP, name=None) -> FinGroup:
     if not mods or any(m < 2 for m in mods):
         raise ValueError("module factor orders must be >= 2")
     k = len(mods)
-    points = []
-    pt_index = {}
-    def rec(prefix):
-        if len(prefix) == k:
-            pt_index[tuple(prefix)] = len(points)
-            points.append(tuple(prefix))
-            return
-        for v in range(mods[len(prefix)]):
-            rec(prefix + [v])
-    rec([])
+    points = list(product(*map(range, mods)))
+    pt_index = {pt: i for i, pt in enumerate(points)}
     vol = len(points)
 
     gens = []
@@ -293,7 +286,8 @@ def groups_of_order_4p(p: int, cap=DEFAULT_CAP):
     These are C_{4p}, C_2 x C_{2p}, the dihedral and dicyclic groups, and
     C_p : C_4 exactly when 4 divides p - 1.  For p = 3 the fifth type is
     A_4 instead (the only order-4p group whose Sylow p-subgroup is not
-    normal, possible only when p divides 4! / 4).
+    normal, possible only when p divides 4! / 4).  No CLI path builds
+    them all; kept because `perfbench/checks.py` reads them.
     """
     return _joined(*groups_of_order_4p_split(p, cap=cap), cap)
 
@@ -312,19 +306,22 @@ def groups_of_order_4p_split(p: int, cap=DEFAULT_CAP):
     return [[4 * p], [2, 2 * p]], rest
 
 
+def _partitions(e):
+    """The partitions of e, as lists of non-increasing parts."""
+    if e == 0:
+        yield []
+        return
+    for first in range(e, 0, -1):
+        for rest in _partitions(e - first):
+            if not rest or rest[0] <= first:
+                yield [first] + rest
+
+
 def abelian_types(n: int):
     """All abelian groups of order n, as lists of cyclic factor orders."""
-    def partitions(e):
-        if e == 0:
-            yield []
-            return
-        for first in range(e, 0, -1):
-            for rest in partitions(e - first):
-                if not rest or rest[0] <= first:
-                    yield [first] + rest
     per_prime = []
     for p, e in sorted(factorize(n).items()):
-        per_prime.append([[p ** part for part in lam] for lam in partitions(e)])
+        per_prime.append([[p ** part for part in lam] for lam in _partitions(e)])
     types = [[]]
     for options in per_prime:
         types = [t + o for t in types for o in options]
@@ -332,7 +329,10 @@ def abelian_types(n: int):
 
 
 def groups_of_order(n: int, cap=DEFAULT_CAP):
-    """Catalog groups of order n (not a complete classification in general)."""
+    """Catalog groups of order n (not a complete classification in general).
+
+    No CLI path builds them all; kept because `perfbench/checks.py` reads them.
+    """
     return _joined(*groups_of_order_split(n, cap=cap), cap)
 
 
@@ -369,7 +369,8 @@ def groups_of_order_split(n: int, cap=DEFAULT_CAP):
 
 
 def _joined(types, rest, cap):
-    """The abelian groups of the given types, then the rest."""
+    """The abelian groups of the given types, then the rest: the lists that
+    `perfbench/checks.py` reads from `groups_of_order` and `groups_of_order_4p`."""
     return [abelian(t, cap=cap) if len(t) > 1 else cyclic(t[0], cap=cap)
             for t in types] + rest
 
@@ -377,6 +378,8 @@ def _joined(types, rest, cap):
 # -- generator file format ---------------------------------------------------
 
 def save_group(G: FinGroup, path) -> None:
+    """Write G's generators in the generator file format: the data-pack
+    writer, public API beside `load_group`; no CLI path calls it."""
     lines = [f"degree {G.degree}", f"name {G.name}"]
     for g in G.generators:
         lines.append(" ".join(str(i) for i in g))

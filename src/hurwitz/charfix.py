@@ -15,38 +15,6 @@ from .dessins import TriangleTriple, genus_of
 from .group import FinGroup, subgroup_closure
 
 
-def _cyclic_cosets(G: FinGroup, s: int):
-    """Right cosets <s>\\G as (subgroup set, coset representative list), by scan."""
-    sub = set(subgroup_closure(G, [s]))
-    seen = set()
-    reps = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in sub:
-            seen.add(G.mul(h, g))
-    return sub, reps
-
-
-def fixed_points(G: FinGroup, t: TriangleTriple, h: int) -> int:
-    """Fixed points of h on the cover, by direct scan of the three coset spaces.
-
-    A coset <s>g is fixed by right multiplication with h iff g h g^-1 lies
-    in <s>.  This is the test oracle for `h1_character`; the production
-    path counts orbits instead (`_coset_fixed_counts`).
-    """
-    if h == 0:
-        raise ValueError("h must be nontrivial; use ramification_point_count")
-    total = 0
-    for s in (t.x, t.y, t.z):
-        sub, reps = _cyclic_cosets(G, s)
-        for g in reps:
-            if G.mul(G.mul(g, h), G.inv(g)) in sub:
-                total += 1
-    return total
-
-
 def ramification_point_count(G: FinGroup, t: TriangleTriple) -> int:
     """Total number of points above the three branch points (fiber sizes)."""
     return sum(G.order // G.element_order(s) for s in (t.x, t.y, t.z))
@@ -75,31 +43,11 @@ def _fixed_by_class(G: FinGroup, t: TriangleTriple):
             for cls, fix in zip(G.conjugacy_classes(), zip(*counts))]
 
 
-def fixed_point_class_sum(G: FinGroup, t: TriangleTriple) -> int:
-    """Sum of Fix(h) over nontrivial h, evaluated once per conjugacy class."""
-    by_class = _fixed_by_class(G, t)
-    return sum(len(cls) * fix
-               for cls, fix in zip(G.conjugacy_classes(), by_class)
-               if fix is not None)
-
-
-def stabilizer_count_formula(G: FinGroup, t: TriangleTriple) -> int:
-    """Independent prediction: sum_i (|G|/m_i)(m_i - 1) over the branch orders."""
-    return sum((G.order // m) * (m - 1)
-               for m in (G.element_order(s) for s in (t.x, t.y, t.z)))
-
-
 @dataclass(frozen=True)
 class ClassFunction:
     """Rational values, one per conjugacy class in canonical order."""
     group: FinGroup
     values: tuple
-
-    def at_class(self, ci: int):
-        return self.values[ci]
-
-    def at_element(self, i: int):
-        return self.values[self.group.class_of(i)]
 
     def inner_product(self, other: "ClassFunction") -> Fraction:
         G = self.group
@@ -111,12 +59,6 @@ class ClassFunction:
 
 def trivial_character(G: FinGroup) -> ClassFunction:
     return ClassFunction(G, tuple(1 for _ in G.conjugacy_classes()))
-
-
-def permutation_character(G: FinGroup, t: TriangleTriple, which: str) -> ClassFunction:
-    """Character of the coset action for one of the triple entries x, y, z."""
-    s = {"x": t.x, "y": t.y, "z": t.z}[which]
-    return ClassFunction(G, tuple(_coset_fixed_counts(G, s)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group import CapExceededError, FinGroup, classify_pairs, generates
-from .perms import pmul
+from .group import CapExceededError, FinGroup, classify_pairs
 
 
 @dataclass(frozen=True)
@@ -102,21 +101,6 @@ def enumerate_triples(G: FinGroup, type_, mode: str = "exact"):
                                key))
     out.sort(key=lambda c: (c.passport, c.representative.x, c.representative.y))
     return out
-
-
-def count_triples_brute(G: FinGroup, type_, mode: str = "exact") -> int:
-    """Independent total count of generating triples of the type (all x, all y)."""
-    orders = np.array(G.element_orders())
-    x_ok, y_ok, z_ok = (_order_matches(orders, target, mode) for target in type_)
-    ys = np.flatnonzero(y_ok).tolist()
-    total = 0
-    for x in np.flatnonzero(x_ok).tolist():
-        xperm = G.elements[x]
-        for y in ys:
-            xy = G.index[pmul(xperm, G.elements[y])]
-            if z_ok[xy] and generates(G, (x, y)):
-                total += 1
-    return total
 
 
 # -- Hurwitz census -----------------------------------------------------------

@@ -60,12 +60,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
 def poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -170,23 +164,11 @@ class Fq:
             self._tables = add, mul, np.argmax(mul == 1, axis=1)
         return self._tables
 
-    def elements(self):
-        return range(self.q)
-
     def coeffs(self, a: int):
         return to_digits(a, self.p, self.f)
 
     def from_coeffs(self, coeffs) -> int:
         return from_digits(_trim(coeffs), self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return self.from_coeffs(poly_add(self.coeffs(a), self.coeffs(b), self.p))
-
-    def neg(self, a: int) -> int:
-        return self.from_coeffs(tuple((-c) % self.p for c in self.coeffs(a)))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
@@ -195,22 +177,6 @@ class Fq:
         else:
             prod = _trim((prod[0] % self.p,)) if prod else ()
         return self.from_coeffs(prod)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.q - 2)
 
     def element_order(self, a: int) -> int:
         if a == 0:
@@ -228,11 +194,4 @@ class Fq:
             if self.element_order(a) == self.q - 1:
                 return a
         raise RuntimeError("no multiplicative generator found")  # unreachable
-
-    def is_square(self, a: int) -> bool:
-        if a == 0:
-            return True
-        if self.p == 2:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
 

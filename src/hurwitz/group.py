@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .perms import identity, pmul
+from .perms import identity
 
 DEFAULT_CAP = 200_000
 BATCH = 1 << 14  # entries per `products` batch of `classify_pairs`, unless |G| is more
@@ -73,13 +73,16 @@ class FinGroup:
 
     @property
     def elements(self):
+        """The permutation rows of all elements, in element order: public API,
+        read by `pair_isomorphic` for pairs given as tuples."""
         if self._rows is None:
             self._rows = self.keys if self._row is None else list(map(self._row, self.keys))
         return self._rows
 
     @property
     def index(self):
-        """Element index of each permutation row."""
+        """Element index of each permutation row: public API, the lookup of
+        `pair_isomorphic` for pairs given as tuples."""
         if self._index is None:
             self._index = {row: i for i, row in enumerate(self.elements)}
         return self._index
@@ -100,10 +103,6 @@ class FinGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse_indices()[i]
-
-    def conj(self, i: int, g: int) -> int:
-        """g^-1 * i * g."""
-        return self.mul(self.mul(self.inv(g), i), g)
 
     def element_order(self, i: int) -> int:
         orders = self.element_orders()
@@ -165,14 +164,6 @@ class FinGroup:
 
     def class_size(self, i: int) -> int:
         return len(self.conjugacy_classes()[self.class_of(i)])
-
-    def centralizer_size(self, i: int) -> int:
-        """Computed by direct scan; equals |G| / class size (orbit-stabilizer).
-
-        Kept as the test oracle for the class sizes.
-        """
-        e = self.elements[i]
-        return sum(1 for g in self.elements if pmul(g, e) == pmul(e, g))
 
     def commutator(self, a: int, b: int) -> int:
         """a^-1 * b^-1 * a * b."""
@@ -315,7 +306,8 @@ def group_from_generators(gens, cap=DEFAULT_CAP, name=None) -> FinGroup:
 
 
 def _rule_row(rule, ncodes, code):
-    """Left multiplication by `code` on range(ncodes), as a permutation tuple."""
+    """Left multiplication by `code` on range(ncodes), as a permutation tuple:
+    the rows of a rule group, which `FinGroup.elements` builds on first read."""
     return tuple(rule(np.full(ncodes, code), np.arange(ncodes)).tolist())
 
 
@@ -438,7 +430,8 @@ def subgroup_closure(G: FinGroup, gen_indices):
 
 
 def generates(G: FinGroup, gen_indices) -> bool:
-    """Do the given elements generate G?"""
+    """Do the given elements generate G?  No library path calls it; kept
+    because `perfbench/spans.py` binds it."""
     return len(subgroup_closure(G, gen_indices)) == G.order
 
 
@@ -513,7 +506,8 @@ def kernel_key(G: FinGroup, gens):
 
     Equal keys mean exactly that gens1 -> gens2 extends to an isomorphism,
     i.e. that the two epimorphisms from the free group have equal kernels.
-    The tables come from one `product_table` batch.
+    The tables come from one `product_table` batch.  Public API: the CLI
+    keys pairs inside `classify_pairs` instead.
     """
     tables = G.product_table(np.arange(G.order), list(gens)).T.tolist()
     key = tuple(cayley_labels(tables))
@@ -642,7 +636,7 @@ def pair_isomorphic(G: FinGroup, pair1, pair2, H: FinGroup | None = None) -> boo
     """Does x1 -> x2, y1 -> y2 extend to an isomorphism G -> H (H defaults to G)?
 
     Key equality of the two canonical Cayley keys.  Both pairs must
-    generate (checked).
+    generate (checked).  Public API; no CLI path calls it.
     """
     H = G if H is None else H
     pair1 = [G.index[tuple(p)] if not isinstance(p, int) else p for p in pair1]

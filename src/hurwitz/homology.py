@@ -30,15 +30,10 @@ from .fields import Fq, is_prime, to_digits
 # letters: (generator id 0 for x / 1 for y, exponent sign)
 X, Y = 0, 1
 # the letters as move codes x, x^-1, y, y^-1; PAD reads nothing and stays put
-MOVES = [(X, 1), (X, -1), (Y, 1), (Y, -1)]
 PAD = 4
 SIGN = np.array([1, -1, 1, -1, 0])
 INVERSE = np.array([1, 0, 3, 2, PAD], dtype=np.int8)
 COCYCLE_SAMPLES = 40  # triples (g, h, k) on which `_verify_cocycle` checks the table
-
-
-def _word_inverse(word):
-    return [(g, -s) for g, s in reversed(word)]
 
 
 def _inverse_words(words):
@@ -68,25 +63,6 @@ class SchreierData:
     def num_schreier(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def tree_word(self):
-        """tree_word[coset] = sigma(coset) as letters, from the identity coset."""
-        return [[MOVES[m] for m in row if m != PAD] for row in self.letters.tolist()]
-
-    def rewrite(self, word, start: int = 0, vec=None):
-        """Accumulate the Schreier-generator image of a word traced from a
-        coset, one letter at a time: the oracle of `rewrite_words`."""
-        if vec is None:
-            vec = np.zeros(self.num_schreier, dtype=np.int64)
-        u = start
-        for g, s in word:
-            m = 2 * g + (s < 0)
-            col = int(self.edge_column[m, u])
-            if col < self.num_schreier:
-                vec[col] += s
-            u = int(self.next_coset[m, u])
-        return vec, u
-
     def rewrite_words(self, words, weights):
         """The images of words traced in lockstep from the identity coset.
 
@@ -106,13 +82,9 @@ class SchreierData:
             u = step[at]
         return image, u
 
-    def schreier_word(self, col: int):
-        """The (u, s) Schreier generator as a word in x, y."""
-        u, g = divmod(int(self.edges[col]), 2)
-        v = int(self.next_coset[2 * g, u])
-        return self.tree_word[u] + [(g, 1)] + _word_inverse(self.tree_word[v])
-
     def relator_words(self):
+        """The relators as letters.  No library path calls it; kept because
+        `perfbench/spans.py` counts relation rows from it."""
         p, q, r = self.type
         return [[(X, 1)] * p, [(Y, 1)] * q, [(X, 1), (Y, 1)] * r]
 
@@ -221,8 +193,8 @@ class GModule:
     """Mod-ell homology of the kernel, as matrices acting for each generator.
 
     Coordinates are the free columns of the RREF R of the relations (one
-    per relator cycle, see `kernel_mod_ell_homology`); `project` maps to
-    them by the cached block R[:, free], whose rows are in pivot order.
+    per relator cycle, see `kernel_mod_ell_homology`); `_quotient_coords`
+    maps to them by the cached block R[:, free], whose rows are in pivot order.
     """
     ell: int
     dim: int
@@ -232,10 +204,6 @@ class GModule:
     _pivots: np.ndarray = field(repr=False, default=None)
     _free: np.ndarray = field(repr=False, default=None)
     _rho: np.ndarray = field(repr=False, default=None)
-
-    def project(self, vec):
-        return _quotient_coords(vec, self._block, self._pivots, self._free,
-                                self.ell)
 
     def column_coords(self):
         """Coordinates in M of each Schreier column, and a zero last row for
@@ -586,7 +554,7 @@ class CocycleError(RuntimeError):
 
 @dataclass
 class ExtensionGroup:
-    """An extension E of G by the quotient module M/U, with its projection.
+    """An extension E of G by the quotient module M/U.
 
     E is a `FinGroup` built by `group_from_rule`, whose keys are the codes
     from_digits(v) * |G| + g of the pairs (v, g), so the projection to G is
@@ -597,10 +565,6 @@ class ExtensionGroup:
     module_dim: int
     ell: int
     split: bool
-
-    def project(self, i: int) -> int:
-        """Image in the base group of an extension element."""
-        return self.group.keys[i] % self.base.order
 
 
 @dataclass

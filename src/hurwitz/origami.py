@@ -28,10 +28,6 @@ class OrigamiPair:
     def commutator(self) -> int:
         return self.group.commutator(self.a, self.b)
 
-    @property
-    def genus(self) -> int:
-        return origami_genus(self.group.order)
-
 
 @dataclass(frozen=True)
 class OrigamiClass:

@@ -1,13 +1,16 @@
+import gc
 import random
 
 import pytest
 
 from hurwitz import catalog
-from hurwitz.fields import Fq, prime_power
+from hurwitz.fields import prime_power
 from hurwitz.catalog import (Catalog, abelian, alternating, cyclic, dicyclic,
                              dihedral, groups_of_order, groups_of_order_4p,
                              load_group, metacyclic, parse_group_spec, pgl2,
                              psl2, save_group, semidirect, sl2, symmetric)
+
+from oracles import ScalarFq
 
 
 def test_closed_form_orders():
@@ -48,6 +51,21 @@ def test_semidirect_klein_action():
 def test_semidirect_rejects_noninvertible_matrix():
     with pytest.raises(ValueError):
         semidirect([2, 2], [[[1, 1], [1, 1]]])
+
+
+def test_constructors_leave_no_reference_cycles():
+    """What a constructor leaves behind is freed by reference counting, so a
+    run's garbage does not wait for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (lambda: semidirect([2, 2], [[[0, 1], [1, 1]]]),
+                      lambda: catalog.abelian_types(64), lambda: dihedral(17),
+                      lambda: psl2(7)):
+            build()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _order_histogram(G):
@@ -171,7 +189,7 @@ def _scalar_vector_perm(F, M):
 def test_generator_perms_match_scalar_oracles(q):
     """The table-read permutations of the catalog's generator matrices, of
     PGL's diagonal one and of random invertible matrices (c = 0 among them)."""
-    F = Fq(*prime_power(q))
+    F = ScalarFq(*prime_power(q))
     rng = random.Random(q)
     mats = catalog._sl2_generator_matrices(F) + [((F.generator(), 0), (0, 1))]
     while len(mats) < 2 * F.f + 7:

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from hurwitz import catalog, dessins
-from hurwitz.charfix import (ClassFunction, character_report,
-                             fixed_point_class_sum, fixed_points, h1_character,
-                             permutation_character, ramification_point_count,
-                             stabilizer_count_formula, trivial_character)
+from hurwitz.charfix import (ClassFunction, character_report, h1_character,
+                             ramification_point_count, trivial_character)
+
+from oracles import (conj, fixed_point_class_sum, fixed_points,
+                     permutation_character, stabilizer_count_formula)
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +45,14 @@ def test_fixed_points_is_class_function(klein):
     for h in (1, 17, 60):
         base = fixed_points(G, t, h)
         for g in (3, 29, 111):
-            assert fixed_points(G, t, G.conj(h, g)) == base
+            assert fixed_points(G, t, conj(G, h, g)) == base
 
 
 def test_h1_character_values(klein):
     G, t = klein
     h1 = h1_character(G, t)
     assert h1.genus == 3
-    assert h1.character.at_element(0) == 6  # chi(1) = 2g
+    assert h1.character.values[0] == 6  # chi(1) = 2g
     assert h1.faithful
     # Lefschetz: chi(h) = 2 - Fix(h) on a nontrivial class, against the
     # direct coset scan of fixed_points
@@ -64,7 +65,7 @@ def test_h1_character_values(klein):
         for ci, cls in enumerate(G.conjugacy_classes()):
             if ci == 0:
                 continue
-            assert h1.character.at_class(ci) == 2 - fixed_points(G, t, cls[0])
+            assert h1.character.values[ci] == 2 - fixed_points(G, t, cls[0])
 
 
 def test_h1_orthogonal_to_trivial(klein):
@@ -79,13 +80,13 @@ def test_permutation_character_transitive(klein):
     G, t = klein
     for which, size in (("x", 84), ("y", 56), ("z", 24)):
         chi = permutation_character(G, t, which)
-        assert chi.at_element(0) == size
+        assert chi.values[0] == size
         # transitivity: one trivial constituent (Burnside)
         assert chi.inner_product(trivial_character(G)) == 1
     # the three coset actions together are the direct scan of fixed_points
     chis = [permutation_character(G, t, which) for which in "xyz"]
     for ci, cls in enumerate(G.conjugacy_classes()[1:], start=1):
-        assert sum(chi.at_class(ci) for chi in chis) == fixed_points(G, t, cls[0])
+        assert sum(chi.values[ci] for chi in chis) == fixed_points(G, t, cls[0])
 
 
 def test_character_suite_all_small_census_entries():
@@ -96,7 +97,7 @@ def test_character_suite_all_small_census_entries():
             t = cls.representative
             assert fixed_point_class_sum(G, t) == stabilizer_count_formula(G, t)
             h1 = h1_character(G, t)
-            assert h1.character.at_element(0) == 2 * cls.genus
+            assert h1.character.values[0] == 2 * cls.genus
             assert h1.faithful
             assert h1.character.inner_product(trivial_character(G)) == 0
             assert all(v == int(v) for v in h1.character.values)

@@ -7,6 +7,8 @@ import pytest
 
 from hurwitz import catalog, cli, dessins, group, homology
 
+import oracles
+
 
 def run(args):
     buf = io.StringIO()
@@ -189,23 +191,24 @@ def test_genus17_census_builds_no_permutation_rows(capsys, monkeypatch):
 def test_genus17_census_rewrites_generator_rows_once(capsys, monkeypatch):
     # the cocycle table is read off the Schreier tree, so no generator row
     # c(s, .) is rewritten, and the scalar rewriter is the tests' oracle
-    # only; the batch rewriter traces the 2 x 6 conjugated generators of the
-    # action once for the module and, per quotient, the 4 x 40 sampled
-    # cocycle words and the 2 generator lifts: 12 + 2 x (160 + 2) = 336
+    # (`oracles.rewrite`) only; the batch rewriter traces the 2 x 6
+    # conjugated generators of the action once for the module and, per
+    # quotient, the 4 x 40 sampled cocycle words and the 2 generator lifts:
+    # 12 + 2 x (160 + 2) = 336
     words, scalar = [], []
     rewrite_words = homology.SchreierData.rewrite_words
-    rewrite = homology.SchreierData.rewrite
+    rewrite = oracles.rewrite
 
     def counting_words(self, batch, weights):
         words.append(len(batch))
         return rewrite_words(self, batch, weights)
 
-    def counting(self, *args, **kwargs):
+    def counting(*args, **kwargs):
         scalar.append(1)
-        return rewrite(self, *args, **kwargs)
+        return rewrite(*args, **kwargs)
 
     monkeypatch.setattr(homology.SchreierData, "rewrite_words", counting_words)
-    monkeypatch.setattr(homology.SchreierData, "rewrite", counting)
+    monkeypatch.setattr(oracles, "rewrite", counting)
     code, _ = run_main(["census", "--max-genus", "17"], capsys)
     assert code == 0 and sum(words) == 336 and not scalar
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 from hurwitz import catalog, dessins
 from hurwitz.catalog import census_catalog
-from hurwitz.dessins import (count_triples_brute, enumerate_triples, genus_of,
-                             hurwitz_census, order_for_genus, passport)
+from hurwitz.dessins import (enumerate_triples, genus_of, hurwitz_census,
+                             order_for_genus, passport)
 from hurwitz.group import group_from_generators
-from hurwitz.perms import pinv, pmul
+from hurwitz.perms import pmul
+
+from oracles import conj, count_triples_brute, pinv
 
 
 def test_genus_formula_paper_orders():
@@ -76,9 +78,9 @@ def test_passport_invariant_under_conjugation():
     cls = enumerate_triples(G, (2, 3, 7))[0]
     t = cls.representative
     for g in (5, 60):
-        conj = dessins.TriangleTriple(G, G.conj(t.x, g), G.conj(t.y, g),
-                                      G.conj(t.z, g), t.type)
-        assert passport(conj) == passport(t)
+        image = dessins.TriangleTriple(G, conj(G, t.x, g), conj(G, t.y, g),
+                                       conj(G, t.z, g), t.type)
+        assert passport(image) == passport(t)
 
 
 def test_abelian_group_has_no_hurwitz_triples():

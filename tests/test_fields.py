@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hurwitz.fields import (Fq, factorize, find_irreducible, is_irreducible,
                             is_prime, prime_power)
 
+from oracles import ScalarFq
+
 
 def test_is_prime_small():
     primes = [n for n in range(2, 50) if is_prime(n)]
@@ -45,7 +47,7 @@ def test_reducible_detected():
 @pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 3), (3, 3), (13, 1),
                                  (2, 4), (2, 5), (3, 4)])
 def test_field_axioms_exhaustive(p, f):
-    F = Fq(p, f)
+    F = ScalarFq(p, f)
     q = F.q
     assert q == p ** f
     els = list(F.elements())
@@ -71,16 +73,16 @@ def test_generator_has_full_order():
 
 def test_square_count():
     # odd q: (q+1)/2 squares including 0; even q: everything is a square
-    F = Fq(13, 1)
+    F = ScalarFq(13, 1)
     assert sum(F.is_square(a) for a in F.elements()) == 7
-    F = Fq(2, 3)
+    F = ScalarFq(2, 3)
     assert all(F.is_square(a) for a in F.elements())
 
 
 @given(st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
 @settings(max_examples=60, deadline=None)
 def test_f27_associativity(a, b, c):
-    F = Fq(3, 3)
+    F = ScalarFq(3, 3)
     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
     assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
 
@@ -94,7 +96,7 @@ def test_fq_rejects_bad_input():
 
 @pytest.mark.parametrize("q", [q for q in range(2, 50) if prime_power(q)])
 def test_tables_match_scalar_arithmetic(q):
-    F = Fq(*prime_power(q))
+    F = ScalarFq(*prime_power(q))
     add, mul, inv = F.tables()
     assert add.shape == mul.shape == (q, q) and inv.shape == (q,)
     assert add.tolist() == [[F.add(a, b) for b in range(q)] for a in range(q)]

@@ -13,8 +13,10 @@ from hurwitz.group import (CapExceededError, classify_pairs, commutator_subgroup
                            group_from_rule, kernel_key, normal_closure,
                            subgroup_closure)
 from hurwitz.origami import enumerate_origami_pairs, origami_existence
-from hurwitz.perms import pinv, pmul, porder
+from hurwitz.perms import pmul
 from conftest import base_images, catalog_search_groups, tuple_mul
+from oracles import (_scalar_generates, _scalar_inverse, _scalar_subgroup_closure,
+                     centralizer_size, pinv, porder)
 from test_relabel import CASES as RELABEL_CASES, _relabel
 
 
@@ -48,7 +50,7 @@ def test_psl27_order_and_classes():
 def test_orbit_stabilizer_identity():
     G = catalog.psl2(7)
     for i in range(0, G.order, 17):
-        assert G.class_size(i) * G.centralizer_size(i) == G.order
+        assert G.class_size(i) * centralizer_size(G, i) == G.order
 
 
 def test_psl27_is_perfect_and_simple():
@@ -91,10 +93,6 @@ def test_normal_closure_is_subgroup_generated_by_the_class(G):
         expected = sorted(subgroup_closure(G, cls))
         for i in cls:
             assert normal_closure(G, [i]) == expected
-
-
-def _scalar_inverse(G, i):
-    return G.index[pinv(G.elements[i])]
 
 
 def _scalar_normal_closure(G, seeds):
@@ -152,32 +150,6 @@ def test_normal_closure_matches_scalar_oracle(build):
         for cls in G.conjugacy_classes():
             assert normal_closure(G, [cls[0]]) == _scalar_normal_closure(G, [cls[0]])
         assert normal_closure(G, []) == normal_closure(G, [0]) == [0]
-
-
-def _scalar_subgroup_closure(G, gen_indices, stop_above=None):
-    """Oracle for subgroup_closure: a queue BFS from the identity with one
-    scalar product per edge.  With stop_above set, it returns None as soon
-    as the partial closure exceeds it."""
-    mul = tuple_mul(G)
-    seen = [False] * G.order
-    seen[0] = True
-    elems = [0]
-    for u in elems:
-        for s in gen_indices:
-            v = mul(u, s)
-            if not seen[v]:
-                seen[v] = True
-                elems.append(v)
-                if stop_above is not None and len(elems) > stop_above:
-                    return None
-    return elems
-
-
-def _scalar_generates(G, gen_indices):
-    """Oracle for generates: a subgroup of order > |G|/2 is G itself, so the
-    scalar BFS stops early either way."""
-    closure = _scalar_subgroup_closure(G, gen_indices, stop_above=G.order // 2)
-    return closure is None or len(closure) == G.order
 
 
 @pytest.mark.parametrize("build", NORMAL_CLOSURE_CASES.values(),

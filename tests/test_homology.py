@@ -10,14 +10,14 @@ from hurwitz import catalog, dessins, homology
 from hurwitz.fields import from_digits, to_digits
 from hurwitz.group import (FinGroup, cayley_labels, group_from_generators,
                            group_from_rule, kernel_key, pair_isomorphic)
-from hurwitz.homology import (SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
-                              ScanInfeasibleError, extension_quotient,
-                              invariant_submodules, kernel_mod_ell_homology,
-                              klein_extension_groups, rref_mod, schreier_data,
-                              submodule_lattice)
-from hurwitz.perms import pinv
+from hurwitz.homology import (PAD, SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
+                              ScanInfeasibleError, _quotient_coords,
+                              extension_quotient, invariant_submodules,
+                              kernel_mod_ell_homology, klein_extension_groups,
+                              rref_mod, schreier_data, submodule_lattice)
 
 from conftest import tuple_mul
+from oracles import inverse_word, pinv, rewrite, schreier_word
 from test_pair_iso import _evaluate, _word_map
 
 
@@ -136,14 +136,14 @@ def _cycle_relations(sd):
                 vec, end = Counter(), u
                 for _ in range(k):
                     seen[end] = 1
-                    vec, end = sd.rewrite(rel[:len(rel) // k], end, vec)
+                    vec, end = rewrite(sd, rel[:len(rel) // k], end, vec)
                 assert end == u
                 yield vec
 
 
 def _all_rewritten_rows(sd):
     """Every relator rewritten from every coset: 3|G| rows."""
-    return np.array([sd.rewrite(rel, start=u)[0]
+    return np.array([rewrite(sd, rel, start=u)[0]
                      for u in range(sd.group.order) for rel in sd.relator_words()])
 
 
@@ -168,12 +168,14 @@ def _oracle_module(sd, ell):
     R, pivots = _dense_rref(_all_rewritten_rows(sd), ell)
     free = sorted(set(range(sd.num_schreier)) - set(pivots))
     block = R[:, free]
+    tree = _queue_tree(sd.group, *sd.gen_images)[0]
     action = []
     for g in sd.gen_images:
-        conj = sd.tree_word[g]
+        conj = tree[g]
         cols = []
         for c in free:
-            vec, end = sd.rewrite(conj + sd.schreier_word(c) + _inverse(conj))
+            word = conj + schreier_word(sd, tree, c) + inverse_word(conj)
+            vec, end = rewrite(sd, word)
             assert end == 0
             cols.append((vec[free] - vec[pivots] @ block) % ell)
         action.append(np.array(cols, dtype=np.int64).reshape(len(free), -1).T)
@@ -273,7 +275,9 @@ def test_level_tree_matches_queue_bfs(name):
     type_ = tuple(G.element_order(g) for g in (gx, gy, G.mul(gx, gy)))
     sd = schreier_data(type_, G, gx, gy)
     tree_word, columns, right, right_inv = _queue_tree(G, gx, gy)
-    assert sd.tree_word == tree_word
+    moves = [(0, 1), (0, -1), (1, 1), (1, -1)]
+    letters = sd.letters.tolist()
+    assert [[moves[m] for m in row if m != PAD] for row in letters] == tree_word
     assert sd.edges.tolist() == [2 * u + g for u, g in columns]
     assert sd.next_coset.tolist() == [right[0], right_inv[0], right[1], right_inv[1],
                                       list(range(G.order))]
@@ -620,7 +624,8 @@ def test_extension_by_full_module_splits(klein):
     E = extension_quotient(mod, np.eye(mod.dim, dtype=np.int64))
     assert E.split is True
     gx, gy = sd.gen_images
-    lifts = [[i for i in range(E.group.order) if E.project(i) == g] for g in (gx, gy)]
+    project = np.array(E.group.keys) % G.order
+    lifts = [np.flatnonzero(project == g).tolist() for g in (gx, gy)]
     assert [len(ls) for ls in lifts] == [1, 1]
     ax, ay = lifts[0][0], lifts[1][0]
     # brute-force oracle of test_pair_iso.py, across the two groups
@@ -631,7 +636,7 @@ def test_extension_by_full_module_splits(klein):
     assert sorted(section) == list(range(E.group.order))
     assert all(section[G.mul(a, b)] == E.group.mul(section[a], section[b])
                for a in range(G.order) for b in range(G.order))
-    assert all(E.project(section[i]) == i for i in range(G.order))
+    assert all(project[section[i]] == i for i in range(G.order))
 
 
 def test_extension_orders_and_projection(klein):
@@ -640,18 +645,15 @@ def test_extension_orders_and_projection(klein):
         E = extension_quotient(mod, U)
         assert E.group.order == 1344  # 168 * 2^3
         assert E.ell == 2 and E.module_dim == 3
+        project = np.array(E.group.keys) % G.order
         # projection is a homomorphism onto G
         for i, j in [(1, 2), (100, 700), (1343, 5)]:
             k = E.group.mul(i, j)
-            assert E.project(k) == G.mul(E.project(i), E.project(j))
+            assert project[k] == G.mul(project[i], project[j])
         # kernel of the projection is elementary abelian of order 8
-        ker = [i for i in range(E.group.order) if E.project(i) == 0]
+        ker = [i for i in range(E.group.order) if project[i] == 0]
         assert len(ker) == 8
         assert all(E.group.element_order(i) in (1, 2) for i in ker)
-
-
-def _inverse(word):
-    return [(g, -s) for g, s in reversed(word)]
 
 
 def _scalar_quotient(mod, U):
@@ -668,9 +670,10 @@ def _scalar_quotient(mod, U):
         return [v[c] for c in freeU]
 
     def word_value(word):
-        vec, end = sd.rewrite(word)
+        vec, end = rewrite(sd, word)
         assert end == 0
-        return to_quotient(mod.project(vec))
+        return to_quotient(_quotient_coords(vec, mod._block, mod._pivots,
+                                            mod._free, ell))
 
     return freeU, to_quotient, word_value
 
@@ -679,11 +682,11 @@ def _scalar_cocycle(mod, U):
     """Oracle for the cocycle table: c(g, h) in M/U by rewriting
     sigma(g) sigma(h) sigma(gh)^-1."""
     sd = mod.schreier
-    tree, mul = sd.tree_word, tuple_mul(sd.group)
+    tree, mul = _queue_tree(sd.group, *sd.gen_images)[0], tuple_mul(sd.group)
     _, _, word_value = _scalar_quotient(mod, U)
 
     def coc(g, h):
-        return word_value(tree[g] + tree[h] + _inverse(tree[mul(g, h)]))
+        return word_value(tree[g] + tree[h] + inverse_word(tree[mul(g, h)]))
 
     return coc
 
@@ -696,14 +699,13 @@ def _scalar_left_generators(mod, U):
     mul = tuple_mul(G)
     freeU, to_quotient, word_value = _scalar_quotient(mod, U)
     qdim = len(freeU)
-    inverse = _inverse
+    tree = _queue_tree(G, *sd.gen_images)[0]
 
     def left_gen_perm(letter, s):
-        w = word_value([(letter, 1)] + inverse(sd.tree_word[s]))
+        w = word_value([(letter, 1)] + inverse_word(tree[s]))
         A = mod.action_of(s)
         rho_cols = [to_quotient(A[:, c]) for c in freeU]
-        c_row = [word_value(sd.tree_word[s] + sd.tree_word[g]
-                            + inverse(sd.tree_word[mul(s, g)]))
+        c_row = [word_value(tree[s] + tree[g] + inverse_word(tree[mul(s, g)]))
                  for g in range(G.order)]
         images = []
         for point in range(ell ** qdim * G.order):
@@ -913,7 +915,8 @@ def test_order_10752_extension(klein):
     rng = random.Random(10752)
     for _ in range(2000):
         i, j = rng.randrange(E.order), rng.randrange(E.order)
-        assert ext.project(E.mul(i, j)) == G.mul(ext.project(i), ext.project(j))
+        assert E.keys[E.mul(i, j)] % G.order == G.mul(E.keys[i] % G.order,
+                                                      E.keys[j] % G.order)
     assert E._rows is None  # no permutation tuple of degree 10752 was built
 
 

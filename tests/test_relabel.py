@@ -99,7 +99,7 @@ def test_group_invariants_are_representation_independent(case):
         t = c.representative
         u = TriangleTriple(H, phi[t.x], phi[t.y], phi[t.z], t.type)
         chi_g, chi_h = h1_character(G, t).character, h1_character(H, u).character
-        assert all(chi_h.at_element(phi[i]) == chi_g.at_element(i)
+        assert all(chi_h.values[H.class_of(phi[i])] == chi_g.values[G.class_of(i)]
                    for i in range(G.order))
 
 
