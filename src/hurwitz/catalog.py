@@ -20,6 +20,8 @@ from .group import DEFAULT_CAP, FinGroup, group_from_generators
 # symmetric and alternating groups of degree <= MAX_ALT_DEGREE.
 PSL2_Q_MAX = 32
 MAX_ALT_DEGREE = 8
+# the prime powers 4 <= q <= PSL2_Q_MAX of the PSL/SL/PGL(2,q) families
+CATALOG_Q = tuple(q for q in range(4, PSL2_Q_MAX + 1) if prime_power(q))
 
 
 class _OrderMismatch(RuntimeError):
@@ -44,10 +46,7 @@ def abelian_name(orders) -> str:
 def cyclic(n: int, cap=DEFAULT_CAP) -> FinGroup:
     if n < 1:
         raise ValueError("cyclic order must be >= 1")
-    if n == 1:
-        return group_from_generators([()], cap=cap, name=abelian_name([1]))
-    gen = tuple((i + 1) % n for i in range(n))
-    return _check_order(group_from_generators([gen], cap=cap, name=abelian_name([n])), n)
+    return abelian([n], cap=cap)
 
 
 def abelian(orders, cap=DEFAULT_CAP) -> FinGroup:
@@ -237,17 +236,26 @@ def _vector_perm(F: Fq, M):
     return tuple(images.tolist())
 
 
+def sl2_order(q: int) -> int:
+    """|SL(2, q)| = |PGL(2, q)| = q (q^2 - 1)."""
+    return q * (q * q - 1)
+
+
 def psl2_order(q: int) -> int:
     """|PSL(2, q)| = q (q^2 - 1) / gcd(2, q - 1)."""
-    return q * (q * q - 1) // (2 if q % 2 else 1)
+    return sl2_order(q) // (2 if q % 2 else 1)
+
+
+def _field(q: int) -> Fq:
+    pp = prime_power(q)
+    if pp is None:
+        raise ValueError(f"{q} is not a prime power")
+    return Fq(*pp)
 
 
 def psl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
     """PSL(2, q) on the q+1 points of the projective line."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = Fq(*pp)
+    F = _field(q)
     gens = [_projective_perm(F, M) for M in _sl2_generator_matrices(F)]
     return _check_order(group_from_generators(gens, cap=cap, name=f"PSL(2,{q})"),
                         psl2_order(q))
@@ -255,27 +263,19 @@ def psl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
 
 def sl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
     """SL(2, q) acting on the nonzero vectors of F_q^2."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = Fq(*pp)
+    F = _field(q)
     gens = [_vector_perm(F, M) for M in _sl2_generator_matrices(F)]
-    order = q * (q * q - 1)
     return _check_order(group_from_generators(gens, cap=cap, name=f"SL(2,{q})"),
-                        order)
+                        sl2_order(q))
 
 
 def pgl2(q: int, cap=DEFAULT_CAP) -> FinGroup:
     """PGL(2, q) on the projective line (equals PSL for even q)."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"{q} is not a prime power")
-    F = Fq(*pp)
+    F = _field(q)
     mats = _sl2_generator_matrices(F) + [((F.generator(), 0), (0, 1))]
     gens = [_projective_perm(F, M) for M in mats]
-    order = q * (q * q - 1)
     return _check_order(group_from_generators(gens, cap=cap, name=f"PGL(2,{q})"),
-                        order)
+                        sl2_order(q))
 
 
 # -- complete catalogs of small orders ---------------------------------------
@@ -354,12 +354,10 @@ def groups_of_order_split(n: int, cap=DEFAULT_CAP):
             out.append(symmetric(k, cap=cap))
         if factorial(k) // 2 == n and k >= 4:
             out.append(alternating(k, cap=cap))
-    for q in range(4, PSL2_Q_MAX + 1):
-        if prime_power(q) is None:
-            continue
+    for q in CATALOG_Q:
         if psl2_order(q) == n:
             out.append(psl2(q, cap=cap))
-        if q % 2 and q * (q * q - 1) == n:
+        if q % 2 and sl2_order(q) == n:
             out.append(sl2(q, cap=cap))
             out.append(pgl2(q, cap=cap))
     if n % 12 == 0 and n > 12:
@@ -371,8 +369,7 @@ def groups_of_order_split(n: int, cap=DEFAULT_CAP):
 def _joined(types, rest, cap):
     """The abelian groups of the given types, then the rest: the lists that
     `perfbench/checks.py` reads from `groups_of_order` and `groups_of_order_4p`."""
-    return [abelian(t, cap=cap) if len(t) > 1 else cyclic(t[0], cap=cap)
-            for t in types] + rest
+    return [abelian(t, cap=cap) for t in types] + rest
 
 
 # -- generator file format ---------------------------------------------------
@@ -488,23 +485,17 @@ class Catalog:
         """Perfect catalog groups of exactly the given order, built once per order."""
         if order not in self._candidates:
             out = []
-            for q in range(4, PSL2_Q_MAX + 1):
-                if prime_power(q) is None:
-                    continue
+            for q in CATALOG_Q:
                 if psl2_order(q) == order:
                     out.append(psl2(q, cap=self.cap))
-                if q % 2 and q >= 5 and q * (q * q - 1) == order:
+                if q % 2 and sl2_order(q) == order:
                     out.append(sl2(q, cap=self.cap))
             for k in range(5, MAX_ALT_DEGREE + 1):
                 if factorial(k) // 2 == order:
                     out.append(alternating(k, cap=self.cap))
-            if order in self._deferred:
-                # registered before any data-pack group, so listed first
-                self._extra[:0] = self._deferred[order](cap=self.cap)
-                del self._deferred[order]
-            for G in self._extra:
-                if G.order == order:
-                    out.append(G)
+            if order in self._deferred:  # listed before any data-pack group
+                out += self._deferred[order](cap=self.cap)
+            out += [G for G in self._extra if G.order == order]
             self._candidates[order] = [G for G in out if G.is_perfect()]
         return list(self._candidates[order])
 
@@ -516,8 +507,8 @@ class Catalog:
         if order % 4 == 0 and order >= 8:
             names.append(f"Dic{order // 4}")
         names.append(f"abelian types ({len(abelian_types(order))})")
-        for q in range(4, PSL2_Q_MAX + 1):
-            if prime_power(q) is not None and q % 2 and q * (q * q - 1) == order:
+        for q in CATALOG_Q:
+            if q % 2 and sl2_order(q) == order:
                 names.append(f"PGL(2,{q})")
         for k in range(2, MAX_ALT_DEGREE + 1):
             if factorial(k) == order:

@@ -177,10 +177,7 @@ def _cmd_origami(args, out) -> int:
 def _cmd_splitting(args, out) -> int:
     if args.prime < 2:
         raise UsageError("--prime must be >= 2")
-    try:
-        split = arith.splitting_in_k(args.prime)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    split = arith.splitting_in_k(args.prime)
     report = _base({
         "prime": split.ell,
         "e": split.e,
@@ -208,10 +205,7 @@ def _cmd_congruence(args, out) -> int:
         return EXIT_OK
     if args.prime is None:
         raise UsageError("congruence needs --prime or --group")
-    try:
-        split = arith.splitting_in_k(args.prime)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    split = arith.splitting_in_k(args.prime)
     curves = arith.congruence_curves(args.prime)
     report = _base({
         "prime": args.prime,
@@ -262,14 +256,9 @@ def _cmd_homology(args, out) -> int:
             "count": len(subs),
         }
         if args.extensions:
-            exts = []
-            for i, U in enumerate(subs, start=1):
-                E = homology.extension_quotient(
-                    mod, U, cap=args.cap,
-                    name=f"{args.ell}^{mod.dim - args.invariant_dim}.{G.name}#{i}")
-                exts.append({"name": E.group.name, "order": E.group.order,
-                             "split": E.split})
-            report["extensions"] = exts
+            report["extensions"] = [
+                {"name": E.group.name, "order": E.group.order, "split": E.split}
+                for E in homology.extension_quotients(mod, subs, cap=args.cap)]
     rows = [(G.name, args.ell, mod.dim, report["fixed_subspace_dim"])]
     _emit(report, (["group", "ell", "dim", "fixed_dim"], rows),
           args.format, out)

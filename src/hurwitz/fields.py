@@ -60,17 +60,6 @@ def _trim(c):
     return tuple(c[:i])
 
 
-def poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
 def poly_mod(a, m, p):
     a = list(a)
     dm = len(m) - 1
@@ -112,14 +101,6 @@ def to_digits(code: int, p: int, n: int):
         digits.append(code % p)
         code //= p
     return tuple(digits)
-
-
-def from_digits(digits, p: int) -> int:
-    """Inverse of `to_digits`: the integer with these base-p digits."""
-    code = 0
-    for c in reversed(digits):
-        code = code * p + c
-    return code
 
 
 class Fq:
@@ -164,34 +145,15 @@ class Fq:
             self._tables = add, mul, np.argmax(mul == 1, axis=1)
         return self._tables
 
-    def coeffs(self, a: int):
-        return to_digits(a, self.p, self.f)
-
-    def from_coeffs(self, coeffs) -> int:
-        return from_digits(_trim(coeffs), self.p)
-
-    def mul(self, a: int, b: int) -> int:
-        prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        if self.f > 1:
-            prod = poly_mod(prod, self.modulus, self.p)
-        else:
-            prod = _trim((prod[0] % self.p,)) if prod else ()
-        return self.from_coeffs(prod)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        o = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
-
     def generator(self) -> int:
-        """Least element generating the multiplicative group."""
-        for a in range(1, self.q):
-            if self.element_order(a) == self.q - 1:
-                return a
-        raise RuntimeError("no multiplicative generator found")  # unreachable
-
+        """Least element of multiplicative order q - 1: the least a none of
+        whose powers a, .. a^(q - 2) in the `tables` product is 1.  It builds
+        the q x q tables, which `pgl2` reads anyway; `homology.submodule_lattice`
+        asks only with dim >= 4 and ell^dim <= 2 * 10^6, so for ell <= 37."""
+        _, mul, _ = self.tables()
+        a = np.arange(1, self.q)
+        power, primitive = a, np.ones(len(a), dtype=bool)
+        for _ in range(self.q - 2):
+            primitive &= power != 1
+            power = mul[power, a]
+        return int(a[np.argmax(primitive)])

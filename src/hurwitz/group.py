@@ -119,7 +119,8 @@ class FinGroup:
         """Orders by repeated products over the elements not yet at the identity.
 
         The power just before the identity is the inverse, so the inverses
-        are kept as well.
+        are kept as well.  An order divides |G|, so an element with no power
+        up to |G| at the identity shows the product is no group law.
         """
         if self._orders is None:
             orders = np.ones(self.order, dtype=np.intp)
@@ -128,6 +129,9 @@ class FinGroup:
             power, k = live, 1
             while len(live):
                 k += 1
+                if k > self.order:
+                    raise RuntimeError(f"{self.name}: no power of element {live[0]} up "
+                                       f"to |G| = {self.order} is 1; no group law")
                 last, power = power, self.products(power, live)
                 done = power == 0
                 orders[live[done]] = k

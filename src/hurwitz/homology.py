@@ -402,7 +402,7 @@ def _infeasible(mod: GModule, what) -> ScanInfeasibleError:
 
 
 def _code_tables(mats, ell, n):
-    """For each matrix A, code(A v) at every code from_digits(v, ell) of
+    """For each matrix A, code(A v) at every code(v) = sum v_i ell^i of
     F_ell^n, one int32 row per matrix; digit rows are made a chunk at a time."""
     chunk = 1 << 16
     powers = ell ** np.arange(n, dtype=np.int64)
@@ -557,7 +557,7 @@ class ExtensionGroup:
     """An extension E of G by the quotient module M/U.
 
     E is a `FinGroup` built by `group_from_rule`, whose keys are the codes
-    from_digits(v) * |G| + g of the pairs (v, g), so the projection to G is
+    code(v) * |G| + g of the pairs (v, g), so the projection to G is
     the code mod |G|.
     """
     group: FinGroup
@@ -570,7 +570,7 @@ class ExtensionGroup:
 @dataclass
 class TwistedProduct:
     """The product (v, g)(w, h) = (v + rho(g) w + c(g, h), gh) on the codes
-    from_digits(v) * n + g, from tables whose vectors of M/U are digit rows.
+    code(v) * n + g, from tables whose vectors of M/U are digit rows.
 
     Vector addition runs on digit rows: a table of sums of codes would hold
     ell^(2 qdim) entries, more than |E| whenever |M/U| > |G|.  The cocycle
@@ -598,7 +598,7 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     Elements are pairs (v, g) with v in M/U; multiplication is twisted by
     the 2-cocycle c(g, h) = image of sigma(g) sigma(h) sigma(gh)^-1, see
     `TwistedProduct`.  E is the `group_from_rule` group of that product on
-    the codes from_digits(v) * |G| + g, closed from the lifts of the triangle
+    the codes code(v) * |G| + g, closed from the lifts of the triangle
     generators; its elements come in the BFS order of the left-regular
     action on the pairs.  |E| = |G| * ell^qdim is checked against the cap
     before any table is built.  The tables are rho(g) on M/U
@@ -659,6 +659,15 @@ def extension_quotient(mod: GModule, U, cap=DEFAULT_CAP, name=None) -> Extension
     if E.order != n * size:
         raise CocycleError(f"extension order {E.order} != expected {n * size}")
     return ExtensionGroup(E, G, qdim, ell, _has_complement(prod, sd))
+
+
+def extension_quotients(mod: GModule, subs, cap=DEFAULT_CAP):
+    """The `extension_quotient` of each invariant subspace U of subs, named
+    ell^(dim - d).G#i for d = dim U and i = 1, 2, .. in the order of subs."""
+    G = mod.schreier.group
+    return [extension_quotient(mod, U, cap=cap,
+                               name=f"{mod.ell}^{mod.dim - len(U)}.{G.name}#{i}")
+            for i, U in enumerate(subs, start=1)]
 
 
 def _cocycle_table(sd: SchreierData, left, coords, ell):
@@ -767,9 +776,4 @@ def klein_extension_groups(cap=DEFAULT_CAP):
     subs = invariant_submodules(mod, 3)
     if len(subs) != 2:
         raise RuntimeError(f"expected two invariant 3-dim subspaces, got {len(subs)}")
-    out = []
-    for i, U in enumerate(subs, start=1):
-        ext = extension_quotient(mod, U, cap=cap,
-                                 name=f"2^3.PSL(2,7)#{i}")
-        out.append(ext)
-    return out
+    return extension_quotients(mod, subs, cap=cap)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import catalog as _catalog
 from .fields import is_prime
-from .group import CapExceededError, FinGroup, classify_pairs, normal_closure
+from .group import (DEFAULT_CAP, CapExceededError, FinGroup, classify_pairs,
+                    normal_closure)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class ExistenceVerdict:
         return out
 
 
-def origami_existence(g: int, groups=None, cap=None) -> ExistenceVerdict:
+def origami_existence(g: int, groups=None, cap=DEFAULT_CAP) -> ExistenceVerdict:
     """Search for a Hurwitz origami in genus g over groups of order 4(g-1).
 
     Without `groups`, the catalog's groups of the order are searched: its
@@ -137,7 +138,6 @@ def origami_existence(g: int, groups=None, cap=None) -> ExistenceVerdict:
     if g < 2:
         raise ValueError("genus must be >= 2")
     order = 4 * (g - 1)
-    cap = cap or max(4 * order, 1000)
     complete = False
     named = ()
     if groups is None:

@@ -12,7 +12,7 @@ from math import lcm
 import numpy as np
 
 from hurwitz.charfix import ClassFunction, _coset_fixed_counts, _fixed_by_class
-from hurwitz.fields import Fq
+from hurwitz.fields import Fq, _trim, poly_mod, to_digits
 
 from conftest import tuple_mul
 
@@ -158,22 +158,58 @@ def schreier_word(sd, tree, col):
     return tree[u] + [(g, 1)] + inverse_word(tree[v])
 
 
+def from_digits(digits, p):
+    """Inverse of `fields.to_digits`: the integer with these base-p digits."""
+    return sum(c * p ** i for i, c in enumerate(digits))
+
+
+def poly_mul(a, b, p):
+    """Product of coefficient tuples over F_p, little-endian."""
+    out = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
 class ScalarFq(Fq):
-    """`Fq` with scalar sums on coefficient digits, and inverses and squares
-    by search over `Fq.mul`: the oracle of `Fq.tables()`."""
+    """`Fq` with scalar arithmetic on coefficient digits, the oracle of
+    `Fq.tables()`: products are polynomial products reduced by the modulus,
+    the one thing the two share, and inverses, squares, orders and the
+    generator are found by search over `mul`."""
 
     def elements(self):
         return range(self.q)
 
+    def coeffs(self, a):
+        return to_digits(a, self.p, self.f)
+
     def add(self, a, b):
-        return self.from_coeffs([(x + y) % self.p
-                                 for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        return from_digits([(x + y) % self.p
+                            for x, y in zip(self.coeffs(a), self.coeffs(b))], self.p)
 
     def neg(self, a):
-        return self.from_coeffs([-c % self.p for c in self.coeffs(a)])
+        return from_digits([-c % self.p for c in self.coeffs(a)], self.p)
+
+    def mul(self, a, b):
+        # the modulus of a prime field is x, which leaves the constant term
+        prod = poly_mul(self.coeffs(a), self.coeffs(b), self.p)
+        return from_digits(poly_mod(prod, self.modulus, self.p), self.p)
 
     def inv(self, a):
         return next(b for b in self.elements() if self.mul(a, b) == 1)
 
     def is_square(self, a):
         return any(self.mul(b, b) == a for b in self.elements())
+
+    def element_order(self, a):
+        if a == 0:
+            raise ValueError("0 has no multiplicative order")
+        o, x = 1, a
+        while x != 1:
+            x, o = self.mul(x, a), o + 1
+        return o
+
+    def generator(self):
+        """Least element of multiplicative order q - 1."""
+        return next(a for a in range(1, self.q) if self.element_order(a) == self.q - 1)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz.catalog import CATALOG_Q
 from hurwitz.fields import (Fq, factorize, find_irreducible, is_irreducible,
                             is_prime, prime_power)
 
@@ -66,9 +67,15 @@ def test_field_axioms_exhaustive(p, f):
 
 def test_generator_has_full_order():
     for p, f in [(2, 3), (3, 3), (7, 1), (13, 1)]:
-        F = Fq(p, f)
-        g = F.generator()
-        assert F.element_order(g) == F.q - 1
+        g = Fq(p, f).generator()
+        assert ScalarFq(p, f).element_order(g) == p ** f - 1
+
+
+@pytest.mark.parametrize("q", sorted(set(CATALOG_Q) | {p for p in range(2, 38)
+                                                       if is_prime(p)}))
+def test_generator_is_least_of_full_order(q):
+    # the catalog's fields, and the prime fields of the submodule lattice
+    assert Fq(*prime_power(q)).generator() == ScalarFq(*prime_power(q)).generator()
 
 
 def test_square_count():

@@ -510,6 +510,13 @@ def test_element_order_lcm():
     assert S7.element_order(el) == 6
 
 
+def test_element_orders_reject_a_product_with_no_identity():
+    # every power of a nonzero index is itself again, never the identity 0
+    G = group.FinGroup([0, 1, 2], [1], None, lambda I, J: I, "no identity", 3)
+    with pytest.raises(RuntimeError, match="no group law"):
+        G.element_orders()
+
+
 def test_commutator_subgroup_standalone_matches_method():
     G = catalog.dihedral(6)
     D = commutator_subgroup(G)

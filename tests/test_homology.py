@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import catalog, dessins, homology
-from hurwitz.fields import from_digits, to_digits
+from hurwitz.fields import to_digits
 from hurwitz.group import (FinGroup, cayley_labels, group_from_generators,
                            group_from_rule, kernel_key, pair_isomorphic)
 from hurwitz.homology import (PAD, SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
@@ -17,7 +17,7 @@ from hurwitz.homology import (PAD, SUBSPACE_SCAN_LIMIT, CocycleError, GModule,
                               rref_mod, schreier_data, submodule_lattice)
 
 from conftest import tuple_mul
-from oracles import inverse_word, pinv, rewrite, schreier_word
+from oracles import from_digits, inverse_word, pinv, rewrite, schreier_word
 from test_pair_iso import _evaluate, _word_map
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import catalog, origami
+from hurwitz import catalog, group, origami
 from hurwitz.fields import is_prime
-from hurwitz.group import normal_closure
+from hurwitz.group import CapExceededError, normal_closure
 from hurwitz.origami import (enumerate_origami_pairs, origami_existence,
                              origami_genus)
 from conftest import catalog_search_groups
@@ -100,6 +100,17 @@ def test_existence_rejects_genus_below_two():
 def test_existence_order_mismatch_rejected():
     with pytest.raises(ValueError):
         origami_existence(3, groups=[catalog.cyclic(4)])
+
+
+def test_default_cap_checked_before_any_group(monkeypatch):
+    # 4 (g - 1) = 399,996 is above DEFAULT_CAP, known from the genus alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("group closed")
+
+    monkeypatch.setattr(group, "group_from_generators", refuse)
+    monkeypatch.setattr(catalog, "group_from_generators", refuse)
+    with pytest.raises(CapExceededError, match="order 399996 > cap 200000$"):
+        origami_existence(100000)
 
 
 def test_genus_17_witness_scan_batches_its_products():
